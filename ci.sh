@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI gate: formatting, build, vet, the offline doc-comment gate (doclint),
+# CI gate: formatting, build, vet, an offline build of the stardustbench
+# benchmark module, the offline doc-comment gate (doclint),
 # the documentation compile + flag-drift gate (docbuild, covering both the
 # stardust-server and stardust-router flag sets), staticcheck, the full
 # test suite under the race detector with shuffled execution order, a
@@ -100,12 +101,20 @@ else
     exit 1
 fi
 
+# The benchmark module (stardustbench/) is versioned apart from the root
+# module, so the root build above does not compile it; building it here,
+# offline, makes a root API change that breaks the benchmark fail CI.
+stage "stardustbench build (offline)"
+(cd stardustbench && GOFLAGS= GOPROXY=off go build -o "$SCRATCH/stardustbench" .)
+stage_done
+
 # -shuffle=on randomizes test execution order within each package so
 # accidental inter-test ordering dependencies surface in CI rather than on
 # a developer's machine; the chosen seed prints at the top of the log for
-# reproduction.
-stage "go test -race -shuffle=on"
-go test -race -shuffle=on ./...
+# reproduction. -count=1 bypasses the test cache, so a cached pass (one
+# that won a timing race once) can never stand in for a real run.
+stage "go test -race -shuffle=on -count=1"
+go test -race -shuffle=on -count=1 ./...
 stage_done
 
 # The full -race suite above may satisfy the chaos matrix from the test

@@ -18,16 +18,16 @@ import (
 	"stardust/internal/transport"
 )
 
-func newBackend(t *testing.T, cfg stardust.Config) *stardust.SafeMonitor {
+func newBackend(t *testing.T, cfg stardust.Config) *stardust.SafeWatcher {
 	t.Helper()
 	if cfg.Streams == 0 {
 		cfg = stardust.Config{Streams: 4, W: 8, Levels: 3}
 	}
-	sm, err := stardust.NewSafe(cfg)
+	m, err := stardust.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
+	return stardust.NewSafeWatcher(m)
 }
 
 // startTCP serves the binary protocol for a backend on a loopback listener.

@@ -23,7 +23,7 @@ const benchFleetSize = 3
 // benchFleet is a loopback cluster: N full-width backends, each serving
 // HTTP and the binary wire, behind one coordinator.
 type benchFleet struct {
-	mons []*stardust.SafeMonitor
+	mons []*stardust.SafeWatcher
 	cl   *cluster.Cluster
 	stop func()
 }
@@ -50,11 +50,12 @@ func startBenchFleet(cfg stardust.Config) (*benchFleet, error) {
 	}
 	shards := make([]cluster.ShardConfig, benchFleetSize)
 	for i := 0; i < benchFleetSize; i++ {
-		m, err := stardust.NewSafe(cfg)
+		mon, err := stardust.New(cfg)
 		if err != nil {
 			f.stop()
 			return nil, err
 		}
+		m := stardust.NewSafeWatcher(mon)
 		f.mons = append(f.mons, m)
 		srv := server.New(m)
 

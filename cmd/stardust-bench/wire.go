@@ -24,10 +24,11 @@ func wireWorkloads(cfg stardust.Config, data [][]float64, chunk int) ([]workload
 	var out []workloadResult
 
 	for _, mode := range []string{"http", "tcp"} {
-		m, err := stardust.NewSafe(cfg)
+		mon, err := stardust.New(cfg)
 		if err != nil {
 			return nil, err
 		}
+		m := stardust.NewSafeWatcher(mon)
 		var dial client.Option
 		var stop func()
 		switch mode {

@@ -27,7 +27,7 @@
 // With -wal-dir set, every admitted sample is write-ahead logged before
 // it reaches the summary, so a hard crash between snapshots is
 // recoverable: startup replays the log over the restored snapshot
-// (stardust.Recover), auto-snapshots trim replayed segments, and the
+// (stardust.RecoverWatcher), auto-snapshots trim replayed segments, and the
 // -fsync policy (interval, always, none) picks the durability/latency
 // trade. A durable server is automatically a replication primary: it
 // serves its log on GET /wal (plus /repl/status and /repl/snapshot) so
@@ -43,6 +43,11 @@
 // the primary via POST /repl/promote, or automatically with
 // -failover-watch, which probes the primary's /healthz and promotes after
 // -failover-after consecutive failures.
+//
+// Every server evaluates standing queries as samples arrive: POST /watch
+// registers them, GET /events drains their alarms, and -spec-file /
+// -tenants-file install declarative watches and tenants at boot (and
+// /specz, /tenantz at run time).
 //
 // -wal-fail-policy picks the response to persistent disk failure: "stop"
 // surfaces append errors to ingestion, "degrade" keeps ingesting in
@@ -60,8 +65,8 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
-	"io/fs"
 	"log"
 	"net"
 	"net/http"
@@ -108,9 +113,8 @@ func main() {
 	failoverAfter := flag.Int("failover-after", 3, "consecutive failed health probes before -failover-watch promotes")
 	faultSchedule := flag.String("fault-schedule", "", "arm deterministic fault injection: inline schedule text, or @file (see internal/fault)")
 	faultSeed := flag.Int64("fault-seed", 1, "RNG seed for probabilistic fault-schedule rules")
-	watch := flag.Bool("watch", false, "enable standing queries: POST /watch registers them, GET /events drains alarms")
-	specFile := flag.String("spec-file", "", "monitor spec loaded at startup (implies -watch; a spec that fails to parse, compile or install aborts boot)")
-	tenantsFile := flag.String("tenants-file", "", "tenant config JSON array loaded at startup (implies -watch)")
+	specFile := flag.String("spec-file", "", "monitor spec loaded at startup (a spec that fails to parse, compile or install aborts boot)")
+	tenantsFile := flag.String("tenants-file", "", "tenant config JSON array loaded at startup")
 	badValues := flag.String("bad-values", "reject", "bad-value policy: reject, clamp, lastvalue")
 	clampMin := flag.Float64("clamp-min", 0, "lower clamp bound for -bad-values clamp")
 	clampMax := flag.Float64("clamp-max", 0, "upper clamp bound for -bad-values clamp")
@@ -120,13 +124,6 @@ func main() {
 	tcpAddr := flag.String("tcp-addr", "", "binary wire-protocol listen address (empty disables the TCP tier)")
 	tcpMaxConns := flag.Int("tcp-max-conns", 256, "max concurrent TCP wire connections (excess dials queue in the kernel backlog)")
 	flag.Parse()
-
-	// Declarative monitoring rides on the watcher: spec-loaded watches are
-	// ordinary standing queries, so either spec flag switches the tier on.
-	if (*specFile != "" || *tenantsFile != "") && !*watch {
-		*watch = true
-		log.Printf("spec: -spec-file/-tenants-file imply -watch; enabling standing queries")
-	}
 
 	policy, err := resilience.ParsePolicy(*badValues)
 	if err != nil {
@@ -250,92 +247,27 @@ func main() {
 		}
 	}
 
-	mon, replay, err := buildMonitor(cfg, *snapshot)
+	srv, sw, replay, err := boot(cfg, *snapshot, *tenantsFile, *specFile)
 	if err != nil {
 		log.Fatal(err)
-	}
-	// The ingest-apply surface doubles as the replication apply surface:
-	// a follower pushes replicated records through the same safe wrapper
-	// the HTTP handlers query.
-	var srv *server.Server
-	var backend stardust.Interface
-	var applyRec func(stardust.WALRecord) error
-	var bootstrap func(io.Reader, uint64) error
-	var reattach func(string) error
-	if *watch {
-		sw := stardust.NewSafeWatcher(mon)
-		// Watcher-backed servers always carry a tenant registry: /specz
-		// and /tenantz admin work even when boot loaded nothing.
-		tm := obs.NewTenantMetrics()
-		tenants := tenant.New(sw, tm, time.Now)
-		srv = server.New(sw, server.WithWatcher(sw), server.WithSnapshotPath(*snapshot),
-			server.WithTenants(tenants, tm))
-		backend = sw
-		applyRec = sw.ApplyWALRecord
-		bootstrap = func(r io.Reader, _ uint64) error { return sw.BootstrapReplica(r) }
-		reattach = sw.ReattachWAL
-		// Boot-time config is all-or-nothing: a tenant or spec the
-		// operator asked for that cannot be installed is a fatal
-		// misconfiguration, not something to limp past.
-		if *tenantsFile != "" {
-			b, err := os.ReadFile(*tenantsFile)
-			if err != nil {
-				log.Fatalf("-tenants-file: %v", err)
-			}
-			cfgs, err := tenant.ParseConfigs(b)
-			if err != nil {
-				log.Fatalf("-tenants-file %s: %v", *tenantsFile, err)
-			}
-			for _, c := range cfgs {
-				if err := tenants.Add(c); err != nil {
-					log.Fatalf("-tenants-file %s: tenant %q: %v", *tenantsFile, c.Name, err)
-				}
-			}
-			log.Printf("tenants: admitted %d from %s", len(cfgs), *tenantsFile)
-		}
-		if *specFile != "" {
-			b, err := os.ReadFile(*specFile)
-			if err != nil {
-				log.Fatalf("-spec-file: %v", err)
-			}
-			name := strings.TrimSuffix(filepath.Base(*specFile), filepath.Ext(*specFile))
-			if err := tenants.Load(name, string(b)); err != nil {
-				log.Fatalf("-spec-file %s: %v", *specFile, err)
-			}
-			info, err := tenants.Spec(name)
-			if err != nil {
-				log.Fatalf("-spec-file %s: %v", *specFile, err)
-			}
-			log.Printf("spec: loaded unit %q from %s (%d watches)", name, *specFile, info.Watches)
-		}
-	} else {
-		if *specFile != "" || *tenantsFile != "" {
-			log.Fatal("internal: spec flags without watcher mode") // unreachable: flags imply -watch
-		}
-		sm := stardust.WrapSafe(mon)
-		srv = server.New(sm, server.WithSnapshotPath(*snapshot))
-		backend = sm
-		applyRec = sm.ApplyWALRecord
-		bootstrap = func(r io.Reader, _ uint64) error { return sm.BootstrapReplica(r) }
-		reattach = sm.ReattachWAL
 	}
 	srv.SetWALRetainRecords(*walRetain)
 	if inj != nil {
 		srv.SetFaultInjector(inj)
 	}
-	// Degraded-mode recovery: when the disk heals, re-attach the log and
-	// take a catch-up checkpoint through the safe wrapper so the swap is
-	// serialized against ingestion. The checkpoint needs somewhere to land,
-	// so degrade mode requires a snapshot path.
+	// Degraded-mode recovery: when the disk heals, take a catch-up
+	// checkpoint and re-attach the log through the safe wrapper so the
+	// swap is serialized against ingestion. The checkpoint needs somewhere
+	// to land, so degrade mode requires a snapshot path.
 	if cfg.Durability.Dir != "" && failPolicy == stardust.WALFailDegrade {
 		if *snapshot == "" {
 			log.Fatal("-wal-fail-policy degrade requires -snapshot: disk recovery re-attaches the log via a catch-up checkpoint")
 		}
 		snapPath := *snapshot
-		mon.SetWALRecover(func() error { return reattach(snapPath) })
+		sw.WAL().SetRecover(func() error { return sw.ReattachWAL(snapPath) })
 	}
-	if replay != nil {
-		srv.SetReplayStats(*replay)
+	if cfg.Durability.Dir != "" {
+		srv.SetReplayStats(replay)
 		log.Printf("wal replay: %d records (%d samples) from %d segments in %s (torn tail: %d bytes)",
 			replay.Records, replay.Samples, replay.Segments, replay.Duration, replay.TornBytes)
 	}
@@ -352,8 +284,8 @@ func main() {
 	case *replicateFrom != "":
 		fcfg := replication.FollowerConfig{
 			Primary:            *replicateFrom,
-			Bootstrap:          bootstrap,
-			Apply:              applyRec,
+			Bootstrap:          func(r io.Reader, _ uint64) error { return sw.BootstrapReplica(r) },
+			Apply:              sw.ApplyWALRecord,
 			Metrics:            replMetrics,
 			MirrorDir:          *walDir,
 			MirrorSegmentBytes: *walSegment,
@@ -411,7 +343,7 @@ func main() {
 			log.Printf("failover: watching %s/healthz, promoting after %d consecutive failures", *replicateFrom, *failoverAfter)
 		}
 	case *walDir != "":
-		srv.AttachPrimary(mon.WAL(), replMetrics)
+		srv.AttachPrimary(sw.WAL(), replMetrics)
 		log.Printf("replication: serving WAL to followers at GET /wal (primary)")
 	}
 
@@ -419,8 +351,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("stardust-server listening on %s (%d streams, W=%d, %d levels, %s/%s, watch=%v, bad-values=%v)",
-		ln.Addr(), mon.NumStreams(), *w, *levels, *transform, *mode, *watch, policy)
+	log.Printf("stardust-server listening on %s (%d streams, W=%d, %d levels, %s/%s, bad-values=%v)",
+		ln.Addr(), sw.NumStreams(), *w, *levels, *transform, *mode, policy)
 	log.Printf("observability: metrics at GET /metricsz (Prometheus text), profiles at GET /debug/pprof/")
 
 	// The binary wire tier shares the backend, the read-only stance, and
@@ -435,7 +367,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ts := transport.NewServer(transport.Config{
-			Backend:  backend,
+			Backend:  sw,
 			ReadOnly: srv.IsReadOnly,
 			MaxConns: *tcpMaxConns,
 		})
@@ -458,7 +390,7 @@ func main() {
 	<-tcpDone
 	// Close the WAL after the final snapshot so a clean shutdown loses
 	// nothing regardless of the fsync policy.
-	if cerr := mon.Close(); cerr != nil {
+	if cerr := sw.Close(); cerr != nil {
 		log.Printf("closing wal: %v", cerr)
 	}
 	if err != nil {
@@ -467,37 +399,66 @@ func main() {
 	log.Printf("stardust-server: shut down cleanly")
 }
 
-// buildMonitor restores from the snapshot when present, otherwise builds a
-// fresh monitor from flags. Only a genuinely absent snapshot falls through
-// to a fresh build: a snapshot that exists but cannot be opened or parsed
-// (and has no loadable .bak) is a hard error, because silently starting
-// fresh would discard the state the operator asked to keep. With a WAL
-// directory configured, startup goes through Recover — snapshot restore
-// plus WAL replay — and the replay stats are returned for /statz.
-func buildMonitor(cfg stardust.Config, path string) (*stardust.Monitor, *stardust.ReplayStats, error) {
-	if cfg.Durability.Dir != "" {
-		m, stats, err := stardust.Recover(cfg, path)
-		if err != nil {
-			return nil, nil, err
+// boot builds the server around its backend — the one construction path
+// of every stardust-server: restore the snapshot (or start fresh), wrap
+// it in a SafeWatcher with a tenant registry, install the boot-time
+// tenants and spec, prime the watches and replay the WAL tail through
+// them with events suppressed, then attach the log. Alarms already
+// delivered before a crash are therefore not delivered again. A
+// snapshot that exists but cannot be read (and has no loadable .bak)
+// fails startup rather than silently discarding state.
+func boot(cfg stardust.Config, snapshot, tenantsFile, specFile string) (*server.Server, *stardust.SafeWatcher, stardust.ReplayStats, error) {
+	tm := obs.NewTenantMetrics()
+	var tenants *tenant.Registry
+	sw, replay, err := stardust.RecoverWatcher(cfg, snapshot, func(sw *stardust.SafeWatcher) error {
+		if sw.Now(0) >= 0 {
+			log.Printf("restored state from %s (%d streams at t=%d)", snapshot, sw.NumStreams(), sw.Now(0))
 		}
-		return m, &stats, nil
+		tenants = tenant.New(sw, tm, time.Now)
+		return loadBootConfig(tenants, tenantsFile, specFile)
+	})
+	if err != nil {
+		return nil, nil, replay, err
 	}
-	if path == "" {
-		m, err := stardust.New(cfg)
-		return m, nil, err
+	srv := server.New(sw, server.WithSnapshotPath(snapshot), server.WithTenants(tenants, tm))
+	return srv, sw, replay, nil
+}
+
+// loadBootConfig admits the -tenants-file tenants and loads the
+// -spec-file spec into the registry. Boot-time config is all-or-nothing:
+// a tenant or spec the operator asked for that cannot be installed is a
+// fatal misconfiguration, not something to limp past.
+func loadBootConfig(tenants *tenant.Registry, tenantsFile, specFile string) error {
+	if tenantsFile != "" {
+		b, err := os.ReadFile(tenantsFile)
+		if err != nil {
+			return fmt.Errorf("-tenants-file: %v", err)
+		}
+		cfgs, err := tenant.ParseConfigs(b)
+		if err != nil {
+			return fmt.Errorf("-tenants-file %s: %v", tenantsFile, err)
+		}
+		for _, c := range cfgs {
+			if err := tenants.Add(c); err != nil {
+				return fmt.Errorf("-tenants-file %s: tenant %q: %v", tenantsFile, c.Name, err)
+			}
+		}
+		log.Printf("tenants: admitted %d from %s", len(cfgs), tenantsFile)
 	}
-	m, err := stardust.LoadFile(path)
-	switch {
-	case err == nil:
-		log.Printf("restored state from %s (%d streams at t=%d)", path, m.NumStreams(), m.Now(0))
-		// Load installs the default guard; re-apply the deployment's
-		// policy flags.
-		m.SetBadValuePolicy(cfg.BadValues)
-		return m, nil, nil
-	case errors.Is(err, fs.ErrNotExist):
-		m, err := stardust.New(cfg)
-		return m, nil, err
-	default:
-		return nil, nil, err
+	if specFile != "" {
+		b, err := os.ReadFile(specFile)
+		if err != nil {
+			return fmt.Errorf("-spec-file: %v", err)
+		}
+		name := strings.TrimSuffix(filepath.Base(specFile), filepath.Ext(specFile))
+		if err := tenants.Load(name, string(b)); err != nil {
+			return fmt.Errorf("-spec-file %s: %v", specFile, err)
+		}
+		info, err := tenants.Spec(name)
+		if err != nil {
+			return fmt.Errorf("-spec-file %s: %v", specFile, err)
+		}
+		log.Printf("spec: loaded unit %q from %s (%d watches)", name, specFile, info.Watches)
 	}
+	return nil
 }

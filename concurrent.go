@@ -2,169 +2,57 @@ package stardust
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 )
 
-// SafeMonitor wraps a Monitor for concurrent use: appends take the write
-// lock, queries the read lock, so any number of goroutines may query while
-// ingestion proceeds from another. For write-heavy multi-stream pipelines,
-// sharding streams across independent Monitors scales better than a single
-// lock.
-type SafeMonitor struct {
-	mu sync.RWMutex
-	m  *Monitor
-}
-
-// NewSafe constructs a concurrency-safe monitor.
-func NewSafe(cfg Config) (*SafeMonitor, error) {
-	m, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SafeMonitor{m: m}, nil
-}
-
-// Ingest ingests one value through the resilience guard, returning a typed
-// error (ErrStreamRange, ErrBadValue, ErrQuarantined) instead of panicking.
-func (s *SafeMonitor) Ingest(stream int, v float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Ingest(stream, v)
-}
-
-// IngestAll ingests one synchronized arrival through the guard; see
-// Monitor.IngestAll for the partial-failure contract.
-func (s *SafeMonitor) IngestAll(vs []float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.IngestAll(vs)
-}
-
-// IngestBatch ingests a run of values for one stream under a single
-// write-lock acquisition — the concurrent analogue of Monitor.IngestBatch,
-// where the batch amortizes lock traffic as well as guard and summary
-// overheads. See Monitor.IngestBatch for the skip-and-join error contract.
-func (s *SafeMonitor) IngestBatch(stream int, vs []float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.IngestBatch(stream, vs)
-}
-
-// Now returns the discrete time of the stream's most recent value.
-func (s *SafeMonitor) Now(stream int) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Now(stream)
-}
-
-// NumStreams returns the number of monitored streams.
-func (s *SafeMonitor) NumStreams() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.NumStreams()
-}
-
-// CheckAggregate runs one aggregate monitoring check (see
-// Monitor.CheckAggregate).
-func (s *SafeMonitor) CheckAggregate(stream, window int, threshold float64) (AggregateResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.CheckAggregate(stream, window, threshold)
-}
-
-// AggregateBound returns the certified interval around the exact aggregate.
-func (s *SafeMonitor) AggregateBound(stream, window int) (Interval, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.AggregateBound(stream, window)
-}
-
-// FindPattern answers a variable-length similarity query.
-func (s *SafeMonitor) FindPattern(q []float64, r float64) (PatternResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.FindPattern(q, r)
-}
-
-// NearestPatterns returns the k streams nearest to the query pattern.
-func (s *SafeMonitor) NearestPatterns(q []float64, k int) ([]Match, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.NearestPatterns(q, k)
-}
-
-// Correlations reports verified correlated stream pairs.
-func (s *SafeMonitor) Correlations(level int, r float64) (CorrelationResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Correlations(level, r)
-}
-
-// LaggedCorrelations reports screened pairs across lags.
-func (s *SafeMonitor) LaggedCorrelations(level int, r float64, maxLag int) ([]CorrPair, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.LaggedCorrelations(level, r, maxLag)
-}
-
-// Unwrap returns the underlying Monitor. The caller must not use it
-// concurrently with this wrapper.
-func (s *SafeMonitor) Unwrap() *Monitor { return s.m }
-
-// Stats returns a space-usage snapshot under the read lock.
-func (s *SafeMonitor) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Stats()
-}
-
-// Metrics returns the observability snapshot. The underlying counters are
-// atomic, so only the guard's stats need the read lock.
-func (s *SafeMonitor) Metrics() MetricsSnapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Metrics()
-}
-
-// Snapshot serializes the monitor state while holding the read lock, so
-// concurrent ingestion cannot tear the snapshot.
-func (s *SafeMonitor) Snapshot(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Snapshot(w)
-}
-
-// WrapSafe adapts an existing Monitor (e.g. one restored with Load) into
-// the concurrent wrapper. The caller must stop using the bare monitor
-// afterwards.
-func WrapSafe(m *Monitor) *SafeMonitor { return &SafeMonitor{m: m} }
-
-// SafeWatcher wraps a Watcher for concurrent use: pushes and watch
-// registration serialize behind one mutex (events are produced in push
-// order). Queries against the underlying monitor should go through a
-// separate SafeMonitor only if ingestion is quiesced; the usual pattern is
-// to consume the events Push returns.
+// SafeWatcher is the concurrent in-process backend: a Watcher behind a
+// read-write lock. Ingestion, watch registration and the durability and
+// replication operations take the write lock, so standing queries are
+// evaluated and their events produced in ingestion order; on-demand
+// queries, clocks, stats, metrics, snapshots and feature exports take the
+// read lock, so any number of goroutines may query while ingestion
+// proceeds from another. A SafeWatcher with no watches installed is a
+// plain concurrent monitor: runs for a stream no watch can fire on go
+// straight to the summary. For write-heavy multi-stream pipelines,
+// sharding streams across independent monitors (ShardedMonitor) scales
+// better than a single lock.
 type SafeWatcher struct {
-	mu   sync.Mutex
+	mu   sync.RWMutex
 	w    *Watcher
 	sink func([]Event)
 }
 
+// NewSafeWatcher wraps a monitor (for example one restored with Load) in
+// a locked watcher. The caller must stop using the bare monitor
+// afterwards.
+func NewSafeWatcher(m *Monitor) *SafeWatcher {
+	return &SafeWatcher{w: NewWatcher(m)}
+}
+
+// WrapSafe is NewSafeWatcher under its earlier name, kept because the
+// benchmark module (stardustbench), which is versioned apart from this
+// package, still calls it.
+func WrapSafe(m *Monitor) *SafeWatcher { return NewSafeWatcher(m) }
+
 // SetEventSink installs the callback that receives events triggered by
-// Ingest/IngestAll (the Interface ingestion path, whose signatures cannot
-// return events). The sink is invoked under the watcher lock — it must not
-// call back into the watcher. A nil sink drops events; callers that need
-// the events inline should use Push or AppendAll instead.
+// Ingest/IngestBatch/IngestAll and by replicated records (the Interface
+// ingestion paths, whose signatures cannot return events). The sink is
+// invoked under the write lock — it must not call back into the watcher.
+// A nil sink drops events; callers that need the events inline should
+// use Push or AppendAll instead.
 func (s *SafeWatcher) SetEventSink(fn func([]Event)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sink = fn
 }
 
-// NewSafeWatcher wraps a monitor in a locked watcher.
-func NewSafeWatcher(m *Monitor) *SafeWatcher {
-	return &SafeWatcher{w: NewWatcher(m)}
+// deliver hands events to the sink. The caller holds the write lock.
+func (s *SafeWatcher) deliver(events []Event) {
+	if len(events) > 0 && s.sink != nil {
+		s.sink(events)
+	}
 }
 
 // WatchAggregate registers a standing aggregate query.
@@ -221,101 +109,44 @@ func (s *SafeWatcher) Ingest(stream int, v float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	evs, err := s.w.Push(stream, v)
-	if len(evs) > 0 && s.sink != nil {
-		s.sink(evs)
-	}
+	s.deliver(evs)
 	return err
 }
 
-// IngestBatch pushes a run of values for one stream through the watcher
-// under a single lock acquisition. Standing queries are evaluated after
-// every admitted value (batch ingestion must not skip trigger points), so
-// the saving here is lock traffic, not evaluation work. Inadmissible
-// samples are skipped and their errors joined, matching
-// Monitor.IngestBatch; events from admitted samples go to the sink.
+// IngestBatch ingests a run of values for one stream under a single lock
+// acquisition, with Monitor.IngestBatch's skip-and-join error contract:
+// the admitted run is one write-ahead-log record, and standing queries
+// are evaluated after every admitted value (a batch must not skip
+// trigger points). Events go to the sink.
 func (s *SafeWatcher) IngestBatch(stream int, vs []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	evs, err := s.w.ingestBatch(stream, vs)
+	s.deliver(evs)
+	return err
+}
+
+// IngestAll pushes one synchronized arrival through the watcher with
+// Monitor.IngestAll's contract: every stream is attempted, rejected
+// streams skip this tick and their errors are joined. Events of every
+// admitted value go to the sink.
+func (s *SafeWatcher) IngestAll(vs []float64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := s.w.mon.NumStreams(); len(vs) != n {
+		return fmt.Errorf("stardust: %w: IngestAll got %d values for %d streams", ErrStreamRange, len(vs), n)
+	}
 	var events []Event
 	var errs []error
-	for _, v := range vs {
-		evs, err := s.w.Push(stream, v)
+	for i, v := range vs {
+		evs, err := s.w.Push(i, v)
 		events = append(events, evs...)
 		if err != nil {
 			errs = append(errs, err)
 		}
 	}
-	if len(events) > 0 && s.sink != nil {
-		s.sink(events)
-	}
+	s.deliver(events)
 	return errors.Join(errs...)
-}
-
-// IngestAll pushes one synchronized arrival through the watcher. Events
-// triggered before a mid-loop error are still delivered to the sink (the
-// partial-event contract of AppendAll); later streams are not pushed.
-func (s *SafeWatcher) IngestAll(vs []float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var events []Event
-	var err error
-	for i, v := range vs {
-		evs, perr := s.w.Push(i, v)
-		events = append(events, evs...)
-		if perr != nil {
-			err = perr
-			break
-		}
-	}
-	if len(events) > 0 && s.sink != nil {
-		s.sink(events)
-	}
-	return err
-}
-
-// Query passthroughs so a SafeWatcher can back the HTTP service: standing
-// queries and on-demand queries share one lock.
-
-// CheckAggregate runs one on-demand aggregate check under the lock.
-func (s *SafeWatcher) CheckAggregate(stream, window int, threshold float64) (AggregateResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.mon.CheckAggregate(stream, window, threshold)
-}
-
-// AggregateBound returns the certified interval around the exact aggregate.
-func (s *SafeWatcher) AggregateBound(stream, window int) (Interval, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.mon.AggregateBound(stream, window)
-}
-
-// FindPattern runs one on-demand pattern query under the lock.
-func (s *SafeWatcher) FindPattern(q []float64, r float64) (PatternResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.mon.FindPattern(q, r)
-}
-
-// NearestPatterns returns the k streams nearest to the query pattern.
-func (s *SafeWatcher) NearestPatterns(q []float64, k int) ([]Match, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.mon.NearestPatterns(q, k)
-}
-
-// Correlations runs one detection round under the lock.
-func (s *SafeWatcher) Correlations(level int, r float64) (CorrelationResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.mon.Correlations(level, r)
-}
-
-// LaggedCorrelations runs one lagged screen under the lock.
-func (s *SafeWatcher) LaggedCorrelations(level int, r float64, maxLag int) ([]CorrPair, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.mon.LaggedCorrelations(level, r, maxLag)
 }
 
 // AppendAll pushes one synchronized arrival through the watcher, returning
@@ -340,37 +171,81 @@ func (s *SafeWatcher) AppendAll(vs []float64) ([]Event, error) {
 	return events, nil
 }
 
+// CheckAggregate runs one on-demand aggregate check (see
+// Monitor.CheckAggregate).
+func (s *SafeWatcher) CheckAggregate(stream, window int, threshold float64) (AggregateResult, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.CheckAggregate(stream, window, threshold)
+}
+
+// AggregateBound returns the certified interval around the exact aggregate.
+func (s *SafeWatcher) AggregateBound(stream, window int) (Interval, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.AggregateBound(stream, window)
+}
+
+// FindPattern answers a variable-length similarity query.
+func (s *SafeWatcher) FindPattern(q []float64, r float64) (PatternResult, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.FindPattern(q, r)
+}
+
+// NearestPatterns returns the k streams nearest to the query pattern.
+func (s *SafeWatcher) NearestPatterns(q []float64, k int) ([]Match, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.NearestPatterns(q, k)
+}
+
+// Correlations reports verified correlated stream pairs.
+func (s *SafeWatcher) Correlations(level int, r float64) (CorrelationResult, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.Correlations(level, r)
+}
+
+// LaggedCorrelations reports screened pairs across lags.
+func (s *SafeWatcher) LaggedCorrelations(level int, r float64, maxLag int) ([]CorrPair, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.LaggedCorrelations(level, r, maxLag)
+}
+
 // NumStreams returns the stream count.
 func (s *SafeWatcher) NumStreams() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.w.mon.NumStreams()
 }
 
 // Now returns the stream's most recent discrete time.
 func (s *SafeWatcher) Now(stream int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.w.mon.Now(stream)
 }
 
 // Stats returns the summary's space snapshot.
 func (s *SafeWatcher) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.w.mon.Stats()
 }
 
 // Metrics returns the underlying monitor's observability snapshot.
 func (s *SafeWatcher) Metrics() MetricsSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.w.mon.Metrics()
 }
 
-// Snapshot serializes the monitor state under the lock.
+// Snapshot serializes the monitor state under the read lock, so
+// concurrent ingestion cannot tear the snapshot.
 func (s *SafeWatcher) Snapshot(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.w.mon.Snapshot(w)
 }

@@ -8,10 +8,10 @@ import (
 	"stardust/internal/gen"
 )
 
-// TestSafeMonitorConcurrentIngestAndQuery hammers a SafeMonitor from
+// TestSafeWatcherConcurrentIngestAndQuery hammers a SafeWatcher from
 // writer and reader goroutines; run with -race to exercise the locking.
-func TestSafeMonitorConcurrentIngestAndQuery(t *testing.T) {
-	sm, err := NewSafe(Config{
+func TestSafeWatcherConcurrentIngestAndQuery(t *testing.T) {
+	sm, err := newSafeWatcher(Config{
 		Streams: 4, W: 8, Levels: 3, Transform: Sum, BoxCapacity: 4,
 	})
 	if err != nil {
@@ -70,14 +70,14 @@ func TestSafeMonitorConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
-// TestSafeMonitorDelegation checks every wrapped method against the plain
+// TestSafeWatcherDelegation checks every wrapped method against the plain
 // monitor.
-func TestSafeMonitorDelegation(t *testing.T) {
+func TestSafeWatcherDelegation(t *testing.T) {
 	cfg := Config{
 		Streams: 2, W: 16, Levels: 3, Transform: DWT, Mode: Batch,
 		Coefficients: 4, Normalization: NormZ,
 	}
-	sm, err := NewSafe(cfg)
+	sm, err := newSafeWatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,7 @@ func TestSafeMonitorDelegation(t *testing.T) {
 	if len(la) != len(lb) {
 		t.Fatalf("lagged %d vs %d", len(la), len(lb))
 	}
-	if sm.Unwrap() == nil {
-		t.Fatal("Unwrap returned nil")
-	}
-	if _, err := NewSafe(Config{}); err == nil {
+	if _, err := newSafeWatcher(Config{}); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }

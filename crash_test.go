@@ -42,7 +42,7 @@ func TestCrashMatrix(t *testing.T) {
 				}
 			}
 
-			sm, err := NewSafe(cfg)
+			sm, err := newSafeWatcher(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,9 @@ func TestCrashMatrixWatcherNoDuplicateEvents(t *testing.T) {
 			snap := filepath.Join(dir, "state.snap")
 			// A threshold the moving sum crosses repeatedly, so edge events
 			// fire and clear across the run.
-			register := func(w *Watcher) error {
+			register := func(w interface {
+				WatchAggregate(stream, win int, threshold float64, edge bool) (int, error)
+			}) error {
 				if _, err := w.WatchAggregate(0, 16, 40, true); err != nil {
 					return err
 				}
@@ -171,7 +173,9 @@ func TestCrashMatrixWatcherNoDuplicateEvents(t *testing.T) {
 				t.Fatal(err)
 			}
 			var wantEvents []Event
-			push := func(w *Watcher, lo, hi int) []Event {
+			push := func(w interface {
+				Push(stream int, v float64) ([]Event, error)
+			}, lo, hi int) []Event {
 				var out []Event
 				for i := lo; i < hi; i++ {
 					for s := 0; s < cfg.Streams; s++ {
@@ -208,11 +212,11 @@ func TestCrashMatrixWatcherNoDuplicateEvents(t *testing.T) {
 			}
 			// crash here: liveMon abandoned without Close
 
-			recovered, stats, err := RecoverWatcher(cfg, snap, register)
+			recovered, stats, err := RecoverWatcher(cfg, snap, func(sw *SafeWatcher) error { return register(sw) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer recovered.Monitor().Close()
+			defer recovered.Close()
 			if stats.Records == 0 {
 				t.Fatalf("replay applied no records: %+v", stats)
 			}

@@ -86,7 +86,7 @@ func TestDegradeRecoverCheckpointCrashRecover(t *testing.T) {
 		t.Fatalf("Recover (fresh): %v", err)
 	}
 	defer m.Close()
-	sm := WrapSafe(m)
+	sm := NewSafeWatcher(m)
 	m.SetWALRecover(func() error { return sm.ReattachWAL(snap) })
 
 	ingest := func(phase string, n int) {
@@ -116,7 +116,7 @@ func TestDegradeRecoverCheckpointCrashRecover(t *testing.T) {
 	}
 
 	// Phase 3: the disk heals; the probe loop must re-attach via the
-	// SetWALRecover callback (Reattach + catch-up checkpoint) on its own.
+	// SetWALRecover callback (catch-up checkpoint, then Reattach) on its own.
 	broken.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
 	for m.WALDegraded() {

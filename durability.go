@@ -42,8 +42,8 @@ const (
 	// failure: the log detaches, affected samples stay in memory only
 	// (counted by stardust_wal_dropped_appends_total, flagged by the
 	// stardust_wal_degraded gauge), a probe loop watches the disk, and on
-	// recovery the log re-attaches to a fresh segment and a catch-up
-	// checkpoint restores crash-safety (see Monitor.SetWALRecover).
+	// recovery a catch-up checkpoint restores crash-safety and the log
+	// re-attaches to a fresh segment (see Monitor.SetWALRecover).
 	WALFailDegrade = wal.FailDegrade
 )
 
@@ -150,9 +150,9 @@ func (m *Monitor) WALDegraded() bool {
 
 // SetWALRecover installs the degraded-recovery callback on the monitor's
 // write-ahead log: once the disk probe sees a healthy disk again, fn runs
-// and must re-attach the log and then persist a catch-up checkpoint, in
-// that order, serialized against ingestion — ReattachWAL on the safe
-// wrappers does exactly this. When no callback is installed the log
+// and must persist a catch-up checkpoint and then re-attach the log, in
+// that order, serialized against ingestion — SafeWatcher.ReattachWAL
+// does exactly this. When no callback is installed the log
 // re-attaches by itself and the degraded window stays uncheckpointed
 // until the next snapshot. No-op without durability.
 func (m *Monitor) SetWALRecover(fn func() error) {
@@ -188,21 +188,11 @@ func (m *Monitor) Close() error {
 // and then trims WAL segments the snapshot fully covers, bounding log
 // growth. Without durability it is exactly WriteSnapshotFile.
 func (m *Monitor) Checkpoint(path string) error {
-	return checkpointMonitor(m, m, path)
-}
-
-// checkpointMonitor snapshots via snap (which may wrap m in a lock) and
-// trims m's WAL through the pre-snapshot watermark. The watermark is
-// captured before the snapshot is written, so every trimmed record is in
-// the snapshot; records appended during the write stay in the log and
-// replay idempotently (replay skips samples whose time the snapshot
-// already covers).
-func checkpointMonitor(m *Monitor, snap Snapshotter, path string) error {
 	if m.wal == nil {
-		return WriteSnapshotFile(snap, path)
+		return WriteSnapshotFile(m, path)
 	}
 	lsn := m.wal.LastLSN()
-	if err := WriteSnapshotFile(snap, path); err != nil {
+	if err := WriteSnapshotFile(m, path); err != nil {
 		return err
 	}
 	if _, err := m.wal.TrimThrough(lsn); err != nil {
@@ -211,61 +201,30 @@ func checkpointMonitor(m *Monitor, snap Snapshotter, path string) error {
 	return nil
 }
 
-// Close on the lock-guarded wrapper: serializes with in-flight ingestion,
-// then closes the WAL.
-func (s *SafeMonitor) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Close()
-}
-
-// SyncWAL forces logged samples to stable storage (see Monitor.SyncWAL).
-func (s *SafeMonitor) SyncWAL() error { return s.m.SyncWAL() }
-
-// Checkpoint snapshots to path and trims the WAL (see Monitor.Checkpoint).
-// The snapshot itself runs under the read lock via Snapshot, so it cannot
-// tear against concurrent ingestion.
-func (s *SafeMonitor) Checkpoint(path string) error {
-	return checkpointMonitor(s.m, s, path)
-}
-
 // ReattachWAL ends write-ahead-log degraded mode under the write lock:
-// the log re-attaches to a fresh segment and, when path is non-empty, a
-// catch-up checkpoint is persisted before ingestion resumes — the
-// samples accepted while degraded become crash-safe again. In that
-// order, a crash in between loses exactly the never-durable degraded
-// window and nothing else. Wire it via SetWALRecover so it runs
-// automatically when the disk probe sees recovery. No-op when the log is
-// attached; nil without durability.
-func (s *SafeMonitor) ReattachWAL(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return reattachWAL(s.m, path)
-}
-
-// ReattachWAL ends degraded mode under the watcher lock (see
-// SafeMonitor.ReattachWAL).
+// when path is non-empty a catch-up checkpoint is persisted first —
+// making the samples accepted while degraded crash-safe — and only then
+// does the log re-attach to a fresh segment, so WALDegraded, /readyz and
+// the stardust_wal_degraded gauge never report healthy while a crash
+// could still lose the degraded window. A failed checkpoint leaves the
+// log degraded (the disk probe retries). Wire it via SetWALRecover so it
+// runs automatically when the disk probe sees recovery. No-op when the
+// log is attached; nil without durability.
 func (s *SafeWatcher) ReattachWAL(path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return reattachWAL(s.w.mon, path)
-}
-
-// reattachWAL re-attaches m's log and persists the catch-up checkpoint.
-// The caller holds its wrapper's write lock, so the snapshot and trim run
-// against a quiescent monitor — checkpointMonitor is called with the bare
-// monitor as its own Snapshotter to avoid re-entering that lock.
-func reattachWAL(m *Monitor, path string) error {
-	if m.wal == nil {
+	m := s.w.mon
+	if m.wal == nil || !m.wal.Degraded() {
 		return nil
 	}
-	if err := m.wal.Reattach(); err != nil {
-		return err
+	// Reattach discards every old segment — the snapshot supersedes
+	// them — so no trim follows.
+	if path != "" {
+		if err := WriteSnapshotFile(m, path); err != nil {
+			return err
+		}
 	}
-	if path == "" {
-		return nil
-	}
-	return checkpointMonitor(m, m, path)
+	return m.wal.Reattach()
 }
 
 // Close closes every shard's WAL.
@@ -285,8 +244,8 @@ func (sm *ShardedMonitor) Checkpoint(path string) error {
 	lsns := make([]uint64, len(sm.shards))
 	durable := false
 	for i, shard := range sm.shards {
-		if shard.m.wal != nil {
-			lsns[i] = shard.m.wal.LastLSN()
+		if wl := shard.WAL(); wl != nil {
+			lsns[i] = wl.LastLSN()
 			durable = true
 		}
 	}
@@ -297,10 +256,11 @@ func (sm *ShardedMonitor) Checkpoint(path string) error {
 		return nil
 	}
 	for i, shard := range sm.shards {
-		if shard.m.wal == nil {
+		wl := shard.WAL()
+		if wl == nil {
 			continue
 		}
-		if _, err := shard.m.wal.TrimThrough(lsns[i]); err != nil {
+		if _, err := wl.TrimThrough(lsns[i]); err != nil {
 			return fmt.Errorf("stardust: trimming shard %d wal: %v", i, err)
 		}
 	}
@@ -314,7 +274,12 @@ func (s *SafeWatcher) Close() error {
 	return s.w.mon.Close()
 }
 
-// Checkpoint snapshots to path under the watcher lock and trims the WAL.
+// Checkpoint snapshots to path and trims the WAL (see
+// Monitor.Checkpoint) under the write lock, so the snapshot cannot tear
+// against concurrent ingestion and the trim watermark is exactly the
+// snapshotted state.
 func (s *SafeWatcher) Checkpoint(path string) error {
-	return checkpointMonitor(s.w.mon, s, path)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.mon.Checkpoint(path)
 }

@@ -21,12 +21,13 @@ import (
 )
 
 func main() {
-	mon, err := stardust.NewSafe(stardust.Config{
+	m, err := stardust.New(stardust.Config{
 		Streams: 2, W: 10, Levels: 4, Transform: stardust.Sum, BoxCapacity: 4,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	mon := stardust.NewSafeWatcher(m)
 
 	// Serve on an ephemeral local port.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -32,8 +32,8 @@ type LevelFeature struct {
 // FeatureSource is the surface a monitor exposes so an out-of-process
 // coordinator can run the cross-shard correlation merge: the retained
 // feature boxes for screening, and exact z-normalized raw windows for
-// verification. SafeMonitor and SafeWatcher implement it; the HTTP server
-// serves it on the /cluster/features and /cluster/znorm endpoints.
+// verification. SafeWatcher and ShardedMonitor implement it; the HTTP
+// server serves it on the /cluster/features and /cluster/znorm endpoints.
 type FeatureSource interface {
 	// RecentLevelFeatures returns each stream's latest feature at the
 	// level plus, when maxLag > 0, every retained earlier feature within
@@ -67,7 +67,6 @@ type ZNormResult struct {
 // Compile-time checks: every lock-guarded monitor flavor exports its
 // features for cross-process merges.
 var (
-	_ FeatureSource = (*SafeMonitor)(nil)
 	_ FeatureSource = (*SafeWatcher)(nil)
 	_ FeatureSource = (*ShardedMonitor)(nil)
 )
@@ -84,35 +83,18 @@ func exportFeatures(feats []localFeature) []LevelFeature {
 	return out
 }
 
-// RecentLevelFeatures returns the monitor's retained level features in
-// exported form, under the read lock; see FeatureSource.
-func (s *SafeMonitor) RecentLevelFeatures(level, maxLag int) []LevelFeature {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return exportFeatures(s.m.recentLevelFeatures(level, maxLag))
-}
-
-// ZNormWindow returns the z-normalized raw window of a stream ending at t,
-// under the read lock; see FeatureSource.
-func (s *SafeMonitor) ZNormWindow(stream, level int, t int64) ([]float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.zNormWindow(stream, level, t)
-}
-
 // RecentLevelFeatures returns the watched monitor's retained level features
-// in exported form, under the watcher lock; see FeatureSource.
+// in exported form, under the read lock; see FeatureSource.
 func (s *SafeWatcher) RecentLevelFeatures(level, maxLag int) []LevelFeature {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return exportFeatures(s.w.mon.recentLevelFeatures(level, maxLag))
+	return exportFeatures(s.recentLevelFeatures(level, maxLag))
 }
 
 // ZNormWindow returns the z-normalized raw window of a stream ending at t,
-// under the watcher lock; see FeatureSource.
+// under the read lock; see FeatureSource. The returned slice is freshly
+// allocated and safe to use after the lock is released.
 func (s *SafeWatcher) ZNormWindow(stream, level int, t int64) ([]float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.w.mon.zNormWindow(stream, level, t)
 }
 
@@ -137,5 +119,5 @@ func (sm *ShardedMonitor) ZNormWindow(stream, level int, t int64) ([]float64, bo
 	if err != nil {
 		return nil, false
 	}
-	return shard.zNormWindow(local, level, t)
+	return shard.ZNormWindow(local, level, t)
 }

@@ -2,8 +2,8 @@ package stardust
 
 import "testing"
 
-// ingester is the fallible ingest surface shared by Monitor, SafeMonitor,
-// ShardedMonitor and SafeWatcher; the must* helpers below let tests that
+// ingester is the fallible ingest surface shared by Monitor, SafeWatcher
+// and ShardedMonitor; the must* helpers below let tests that
 // only feed known-good data use it without per-call error plumbing.
 type ingester interface {
 	Ingest(stream int, v float64) error
@@ -26,4 +26,14 @@ func mustIngestAll(tb testing.TB, m ingester, vs []float64) {
 	if err := m.IngestAll(vs); err != nil {
 		tb.Fatalf("ingest all %v: %v", vs, err)
 	}
+}
+
+// newSafeWatcher builds a fresh monitor from cfg behind the concurrent
+// wrapper.
+func newSafeWatcher(cfg Config) (*SafeWatcher, error) {
+	m, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewSafeWatcher(m), nil
 }

@@ -151,8 +151,8 @@ func TestAddStreamGrowsGuard(t *testing.T) {
 	}
 }
 
-func TestSafeMonitorIngest(t *testing.T) {
-	sm, err := NewSafe(Config{Streams: 2, W: 8, Levels: 3})
+func TestSafeWatcherIngest(t *testing.T) {
+	sm, err := newSafeWatcher(Config{Streams: 2, W: 8, Levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

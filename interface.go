@@ -3,9 +3,9 @@ package stardust
 import "io"
 
 // Interface is the unified monitoring surface shared by every monitor
-// flavor in the package: the plain Monitor, the lock-guarded SafeMonitor,
-// the stream-partitioned ShardedMonitor and the standing-query SafeWatcher
-// all satisfy it. It is the contract both servers bind against — the HTTP
+// flavor in the package: the plain Monitor, the concurrent SafeWatcher
+// (a monitor plus its standing queries, behind a read-write lock) and the
+// stream-partitioned ShardedMonitor all satisfy it. It is the contract both servers bind against — the HTTP
 // server in internal/server and the binary TCP tier in internal/transport
 // — and the type to accept when a component only needs to feed and query a
 // monitor without caring how it is synchronized or distributed.
@@ -63,7 +63,6 @@ type Interface interface {
 // Compile-time checks: every monitor flavor satisfies the unified surface.
 var (
 	_ Interface = (*Monitor)(nil)
-	_ Interface = (*SafeMonitor)(nil)
 	_ Interface = (*ShardedMonitor)(nil)
 	_ Interface = (*SafeWatcher)(nil)
 )

@@ -63,7 +63,7 @@ func startBackend(t *testing.T, name string, cfg stardust.Config) *testBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := stardust.WrapSafe(mon)
+	sm := stardust.NewSafeWatcher(mon)
 	srv := server.New(sm)
 	hts := httptest.NewServer(srv)
 
@@ -97,7 +97,7 @@ func startReference(t *testing.T, cfg stardust.Config) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hts := httptest.NewServer(server.New(stardust.WrapSafe(mon)))
+	hts := httptest.NewServer(server.New(stardust.NewSafeWatcher(mon)))
 	t.Cleanup(hts.Close)
 	return hts
 }

@@ -80,7 +80,7 @@ wal.write prob=0.08 err=eio partial=3
 		t.Fatalf("New(primary): %v", err)
 	}
 	defer pm.Close()
-	psm := stardust.WrapSafe(pm)
+	psm := stardust.NewSafeWatcher(pm)
 	psrv := server.New(psm)
 	psrv.AttachPrimary(pm.WAL(), nil)
 	pts := httptest.NewServer(psrv)
@@ -99,7 +99,7 @@ repl.body    prob=0.03 err=eio
 	if err != nil {
 		t.Fatalf("New(replica): %v", err)
 	}
-	rsm := stardust.WrapSafe(rm)
+	rsm := stardust.NewSafeWatcher(rm)
 	rsrv := server.New(rsm)
 	f, err := replication.NewFollower(replication.FollowerConfig{
 		Primary: pts.URL,
@@ -206,7 +206,7 @@ repl.body    prob=0.03 err=eio
 	if err != nil {
 		t.Fatalf("New(follower2): %v", err)
 	}
-	f2sm := stardust.WrapSafe(f2m)
+	f2sm := stardust.NewSafeWatcher(f2m)
 	f2, err := replication.NewFollower(replication.FollowerConfig{
 		Primary:    rts.URL,
 		Bootstrap:  func(r io.Reader, _ uint64) error { return f2sm.BootstrapReplica(r) },

@@ -27,7 +27,7 @@ func e2eConfig(streams int) stardust.Config {
 // newPrimaryServer builds a durable monitor, wraps it in an HTTP server
 // with the replication endpoints attached, and returns the safe wrapper
 // (for test ingestion) plus the server's base URL.
-func newPrimaryServer(t *testing.T) (*stardust.SafeMonitor, *stardust.Monitor, string) {
+func newPrimaryServer(t *testing.T) (*stardust.SafeWatcher, *stardust.Monitor, string) {
 	t.Helper()
 	cfg := e2eConfig(4)
 	cfg.Durability = stardust.DurabilityConfig{
@@ -40,7 +40,7 @@ func newPrimaryServer(t *testing.T) (*stardust.SafeMonitor, *stardust.Monitor, s
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(func() { m.Close() })
-	sm := stardust.WrapSafe(m)
+	sm := stardust.NewSafeWatcher(m)
 	srv := server.New(sm)
 	srv.AttachPrimary(m.WAL(), nil)
 	ts := httptest.NewServer(srv)
@@ -130,7 +130,7 @@ func TestE2EFollowerConvergesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New follower: %v", err)
 	}
-	fsm := stardust.WrapSafe(fm)
+	fsm := stardust.NewSafeWatcher(fm)
 	f, err := replication.NewFollower(replication.FollowerConfig{
 		Primary:    url,
 		Bootstrap:  func(r io.Reader, _ uint64) error { return fsm.BootstrapReplica(r) },
@@ -228,7 +228,7 @@ func TestE2EMidStreamDisconnects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New follower: %v", err)
 	}
-	fsm := stardust.WrapSafe(fm)
+	fsm := stardust.NewSafeWatcher(fm)
 	ct := &cuttingTransport{rt: http.DefaultTransport, rng: rand.New(rand.NewSource(42))}
 	f, err := replication.NewFollower(replication.FollowerConfig{
 		Primary:    url,
@@ -405,7 +405,7 @@ func TestE2EReadOnlyReplicaServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New follower: %v", err)
 	}
-	fsm := stardust.WrapSafe(fm)
+	fsm := stardust.NewSafeWatcher(fm)
 	f, err := replication.NewFollower(replication.FollowerConfig{
 		Primary:    url,
 		Bootstrap:  func(r io.Reader, _ uint64) error { return fsm.BootstrapReplica(r) },

@@ -27,7 +27,7 @@ func TestMirrorSealHandsOverWritableLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New follower: %v", err)
 	}
-	fsm := stardust.WrapSafe(fm)
+	fsm := stardust.NewSafeWatcher(fm)
 	f, err := replication.NewFollower(replication.FollowerConfig{
 		Primary:    url,
 		Bootstrap:  func(r io.Reader, _ uint64) error { return fsm.BootstrapReplica(r) },
@@ -121,7 +121,7 @@ func TestSealWithoutMirrorFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New follower: %v", err)
 	}
-	fsm := stardust.WrapSafe(fm)
+	fsm := stardust.NewSafeWatcher(fm)
 	f, err := replication.NewFollower(replication.FollowerConfig{
 		Primary:   url,
 		Bootstrap: func(r io.Reader, _ uint64) error { return fsm.BootstrapReplica(r) },

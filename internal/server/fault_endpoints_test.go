@@ -102,7 +102,7 @@ func TestDegradedReadyz(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	sm := stardust.WrapSafe(m)
+	sm := stardust.NewSafeWatcher(m)
 	ts := httptest.NewServer(New(sm))
 	t.Cleanup(ts.Close)
 
@@ -167,7 +167,7 @@ func TestPromoteEndpointFullPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pm.Close() })
-	psm := stardust.WrapSafe(pm)
+	psm := stardust.NewSafeWatcher(pm)
 	psrv := New(psm)
 	psrv.AttachPrimary(pm.WAL(), nil)
 	pts := httptest.NewServer(psrv)
@@ -183,7 +183,7 @@ func TestPromoteEndpointFullPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsm := stardust.WrapSafe(rm)
+	rsm := stardust.NewSafeWatcher(rm)
 	rsrv := New(rsm)
 	f, err := replication.NewFollower(replication.FollowerConfig{
 		Primary:   pts.URL,
@@ -260,7 +260,7 @@ func TestStatzFaultSection(t *testing.T) {
 		t.Fatal("statz reports a fault section with no injector armed")
 	}
 
-	mon, err := stardust.NewSafe(stardust.Config{Streams: 2, W: 8, Levels: 3})
+	mon, err := newSafe(stardust.Config{Streams: 2, W: 8, Levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

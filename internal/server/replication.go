@@ -12,8 +12,8 @@ import (
 	"stardust/internal/wal"
 )
 
-// walPromoter is the backend surface promotion needs: SafeMonitor and
-// SafeWatcher both attach a sealed mirror log in place.
+// walPromoter is the backend surface promotion needs: SafeWatcher
+// attaches a sealed mirror log in place.
 type walPromoter interface {
 	Promote(log *wal.Log) error
 }

@@ -1,6 +1,7 @@
 // Package server exposes a Monitor over HTTP: JSON ingestion and the three
-// query classes, plus introspection and durable snapshots. It wraps a
-// SafeMonitor, so ingestion and queries may arrive concurrently.
+// query classes, plus introspection and durable snapshots. Its backend is
+// concurrency-safe (a SafeWatcher, or a ShardedMonitor), so ingestion and
+// queries may arrive concurrently.
 //
 // Endpoints:
 //
@@ -107,8 +108,7 @@ type Server struct {
 const eventBuffer = 4096
 
 // Option configures New. Options compose left to right; the zero
-// configuration (no options) serves a backend with persistence disabled
-// and no standing queries.
+// configuration (no options) serves a backend with persistence disabled.
 type Option func(*Server)
 
 // WithSnapshotPath enables POST /snapshot, the auto-snapshot loop, and
@@ -118,42 +118,21 @@ func WithSnapshotPath(path string) Option {
 	return func(s *Server) { s.path = path }
 }
 
-// WithWatcher enables standing queries: the server claims w's event sink,
-// triggered events accumulate in a bounded buffer served by GET /events,
-// and POST /watch registers new watches. Pass the same watcher as the
-// backend — it is the ingestion surface whose pushes evaluate the
-// watches.
-func WithWatcher(w *stardust.SafeWatcher) Option {
-	return func(s *Server) {
-		s.watcher = w
-		w.SetEventSink(s.appendEvents)
-	}
-}
-
 // New builds a server around the monitor. Any stardust.Interface works as
-// the backend — a SafeMonitor, a ShardedMonitor for multi-core ingestion,
-// or a SafeWatcher (combine with WithWatcher to expose its standing
-// queries).
+// the backend. A *stardust.SafeWatcher (the usual backend) also gets the
+// standing-query surface: the server claims its event sink, triggered
+// events accumulate in a bounded buffer served by GET /events, and POST
+// /watch registers new watches. Other backends — a ShardedMonitor, or
+// the router's cluster coordinator — answer those two endpoints with 501.
 func New(mon stardust.Interface, opts ...Option) *Server {
-	s := newServer(mon)
+	s := &Server{mon: mon, mux: http.NewServeMux()}
+	if sw, ok := mon.(*stardust.SafeWatcher); ok {
+		s.watcher = sw
+		sw.SetEventSink(s.appendEvents)
+	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	return s
-}
-
-// NewWithWatcher builds a server whose ingestion evaluates the watcher's
-// standing queries.
-//
-// Deprecated: NewWithWatcher is the pre-options constructor, kept as a
-// thin wrapper for one release. New code should call
-// New(w, WithWatcher(w), WithSnapshotPath(path)).
-func NewWithWatcher(w *stardust.SafeWatcher, snapshotPath string) *Server {
-	return New(w, WithWatcher(w), WithSnapshotPath(snapshotPath))
-}
-
-func newServer(mon stardust.Interface) *Server {
-	s := &Server{mon: mon, mux: http.NewServeMux()}
 	s.ready.Store(true)
 	s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /aggregate", s.handleAggregate)

@@ -24,9 +24,9 @@ import (
 	"stardust/internal/wire"
 )
 
-func newTestServer(t *testing.T, snapshotPath string) (*httptest.Server, *stardust.SafeMonitor) {
+func newTestServer(t *testing.T, snapshotPath string) (*httptest.Server, *stardust.SafeWatcher) {
 	t.Helper()
-	mon, err := stardust.NewSafe(stardust.Config{
+	mon, err := newSafe(stardust.Config{
 		Streams: 3, W: 8, Levels: 4, Transform: stardust.Sum, BoxCapacity: 4,
 	})
 	if err != nil {
@@ -35,6 +35,15 @@ func newTestServer(t *testing.T, snapshotPath string) (*httptest.Server, *stardu
 	ts := httptest.NewServer(New(mon, WithSnapshotPath(snapshotPath)))
 	t.Cleanup(ts.Close)
 	return ts, mon
+}
+
+// newSafe builds a fresh monitor from cfg behind the concurrent wrapper.
+func newSafe(cfg stardust.Config) (*stardust.SafeWatcher, error) {
+	m, err := stardust.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return stardust.NewSafeWatcher(m), nil
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
@@ -173,7 +182,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestPatternEndpoint(t *testing.T) {
-	mon, err := stardust.NewSafe(stardust.Config{
+	mon, err := newSafe(stardust.Config{
 		Streams: 2, W: 8, Levels: 3, Transform: stardust.DWT, Mode: stardust.Batch,
 		Coefficients: 4, Normalization: stardust.NormUnit, Rmax: 150, History: 400,
 	})
@@ -219,7 +228,7 @@ func TestPatternEndpoint(t *testing.T) {
 }
 
 func TestCorrelationsEndpoint(t *testing.T) {
-	mon, err := stardust.NewSafe(stardust.Config{
+	mon, err := newSafe(stardust.Config{
 		Streams: 4, W: 16, Levels: 3, Transform: stardust.DWT, Mode: stardust.Batch,
 		Coefficients: 4, Normalization: stardust.NormZ,
 	})
@@ -356,7 +365,7 @@ func TestWatcherBackedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewWithWatcher(stardust.NewSafeWatcher(mon), ""))
+	ts := httptest.NewServer(New(stardust.NewSafeWatcher(mon)))
 	defer ts.Close()
 
 	// Register an edge-triggered aggregate watch on stream 0, window 8.
@@ -428,8 +437,17 @@ func TestWatcherBackedServer(t *testing.T) {
 	}
 }
 
+// TestWatchEndpointsDisabledOnPlainServer: only a SafeWatcher backend
+// evaluates standing queries; any other backend (here a ShardedMonitor,
+// as for the router's cluster coordinator) answers the watch surface
+// with 501.
 func TestWatchEndpointsDisabledOnPlainServer(t *testing.T) {
-	ts, _ := newTestServer(t, "")
+	sm, err := stardust.NewSharded(stardust.Config{Streams: 3, W: 8, Levels: 4, Transform: stardust.Sum, BoxCapacity: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(sm))
+	t.Cleanup(ts.Close)
 	resp, _ := postJSON(t, ts.URL+"/watch", map[string]any{"type": "aggregate"})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("watch status %d, want 501", resp.StatusCode)
@@ -447,7 +465,7 @@ func TestWatcherBackedServerQueriesStillWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewWithWatcher(stardust.NewSafeWatcher(mon), ""))
+	ts := httptest.NewServer(New(stardust.NewSafeWatcher(mon)))
 	defer ts.Close()
 	vals := make([]float64, 30)
 	for i := range vals {
@@ -476,7 +494,7 @@ func TestWatcherBackedRowsIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewWithWatcher(stardust.NewSafeWatcher(mon), ""))
+	ts := httptest.NewServer(New(stardust.NewSafeWatcher(mon)))
 	defer ts.Close()
 	resp, out := postJSON(t, ts.URL+"/watch", map[string]any{
 		"type": "aggregate", "stream": 1, "window": 4, "threshold": 100,
@@ -516,7 +534,7 @@ func TestHealthEndpoints(t *testing.T) {
 }
 
 func TestReadyzDuringShutdown(t *testing.T) {
-	mon, err := stardust.NewSafe(stardust.Config{Streams: 1, W: 8, Levels: 2})
+	mon, err := newSafe(stardust.Config{Streams: 1, W: 8, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +556,7 @@ func TestReadyzDuringShutdown(t *testing.T) {
 // TestPanicRecovery: a handler panic becomes a JSON 500 and the server
 // keeps serving.
 func TestPanicRecovery(t *testing.T) {
-	mon, err := stardust.NewSafe(stardust.Config{Streams: 1, W: 8, Levels: 2})
+	mon, err := newSafe(stardust.Config{Streams: 1, W: 8, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +602,7 @@ func TestIngestStatusMapping(t *testing.T) {
 // backend the way a binary ingest path would: the server responds with an
 // error status, the process does not die, and subsequent traffic works.
 func TestIngestBadValueSurvives(t *testing.T) {
-	mon, err := stardust.NewSafe(stardust.Config{Streams: 2, W: 8, Levels: 2})
+	mon, err := newSafe(stardust.Config{Streams: 2, W: 8, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +650,7 @@ func TestSnapshotEndpointKeepsBackup(t *testing.T) {
 func TestServeLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")
-	mon, err := stardust.NewSafe(stardust.Config{Streams: 2, W: 8, Levels: 3})
+	mon, err := newSafe(stardust.Config{Streams: 2, W: 8, Levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +725,7 @@ func TestServeLifecycle(t *testing.T) {
 
 // TestServeWithoutSnapshotPath: lifecycle works with persistence disabled.
 func TestServeWithoutSnapshotPath(t *testing.T) {
-	mon, err := stardust.NewSafe(stardust.Config{Streams: 1, W: 8, Levels: 2})
+	mon, err := newSafe(stardust.Config{Streams: 1, W: 8, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // serves spec load/unload on /specz, tenant admin on /tenantz,
 // tenant-attributed ingestion (the "tenant" field of POST /ingest), and
 // per-event attribution on GET /events. tm may be nil; when set, its
-// stardust_tenant_* series merge into GET /metricsz. Combine with
-// WithWatcher on the same watcher the registry wraps.
+// stardust_tenant_* series merge into GET /metricsz. The registry must
+// wrap the server's own SafeWatcher backend.
 func WithTenants(reg *tenant.Registry, tm *obs.TenantMetrics) Option {
 	return func(s *Server) {
 		s.tenants = reg
@@ -85,7 +85,7 @@ func writeSpecErr(w http.ResponseWriter, err error) {
 // requireTenants gates the /specz and /tenantz surface.
 func (s *Server) requireTenants(w http.ResponseWriter) bool {
 	if s.tenants == nil {
-		writeErr(w, http.StatusNotImplemented, "spec/tenant admin requires a tenant-tier server (start with -watch and the spec flags)")
+		writeErr(w, http.StatusNotImplemented, "spec/tenant admin requires a server built with a tenant registry")
 		return false
 	}
 	return true
@@ -107,7 +107,7 @@ func (s *Server) adminGate(w http.ResponseWriter, r *http.Request) bool {
 		s.specForward.ServeHTTP(w, r)
 		return false
 	}
-	writeErr(w, http.StatusNotImplemented, "spec/tenant admin requires a tenant-tier server (start with -watch and the spec flags)")
+	writeErr(w, http.StatusNotImplemented, "spec/tenant admin requires a server built with a tenant registry")
 	return false
 }
 

@@ -28,7 +28,7 @@ func newTenantServer(t *testing.T) (*httptest.Server, *tenant.Registry) {
 	sw := stardust.NewSafeWatcher(mon)
 	tm := obs.NewTenantMetrics()
 	reg := tenant.New(sw, tm, time.Now)
-	ts := httptest.NewServer(New(sw, WithWatcher(sw), WithTenants(reg, tm)))
+	ts := httptest.NewServer(New(sw, WithTenants(reg, tm)))
 	t.Cleanup(ts.Close)
 	return ts, reg
 }
@@ -60,7 +60,7 @@ func wantCode(t *testing.T, body map[string]any, code byte) {
 }
 
 func TestSpecAdminRequiresRegistry(t *testing.T) {
-	mon, err := stardust.NewSafe(stardust.Config{
+	mon, err := newSafe(stardust.Config{
 		Streams: 2, W: 8, Levels: 4, Transform: stardust.Sum, BoxCapacity: 4,
 	})
 	if err != nil {

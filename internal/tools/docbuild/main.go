@@ -14,7 +14,9 @@
 //     command source files (comma-separated, one per binary) must be
 //     mentioned (as -name) somewhere in the -flagdoc markdown files, so
 //     the operator-facing flag reference cannot silently miss a flag
-//     added to any binary.
+//     added to any binary; and every flag-table row in those files (a
+//     row whose first cell is `-name`) must name a flag one of the
+//     binaries registers, so a removed flag cannot linger in the tables.
 //
 // Usage:
 //
@@ -66,6 +68,7 @@ func main() {
 		}
 	}
 	if *flagSrc != "" {
+		registered := make(map[string]bool)
 		for _, src := range strings.Split(*flagSrc, ",") {
 			src = strings.TrimSpace(src)
 			if src == "" {
@@ -75,6 +78,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "docbuild: %v\n", err)
 				failed = true
 			}
+			names, _ := flagNames(src)
+			for _, n := range names {
+				registered[n] = true
+			}
+		}
+		if err := checkFlagRows(strings.Split(*flagDoc, ","), registered); err != nil {
+			fmt.Fprintf(os.Stderr, "docbuild: %v\n", err)
+			failed = true
 		}
 	}
 	if failed {
@@ -202,6 +213,34 @@ func checkFlagsDocumented(srcPath string, docPaths []string) error {
 	if len(missing) > 0 {
 		return fmt.Errorf("%s registers flags not documented in %s: %s",
 			srcPath, strings.Join(docPaths, ", "), strings.Join(missing, " "))
+	}
+	return nil
+}
+
+// flagRow matches a flag-table row: its first cell is a backquoted -name.
+var flagRow = regexp.MustCompile("^\\| `-([0-9A-Za-z-]+)` \\|")
+
+// checkFlagRows requires every flag-table row of the markdown files to
+// name a registered flag.
+func checkFlagRows(docPaths []string, registered map[string]bool) error {
+	var stale []string
+	for _, p := range docPaths {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			continue
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			if m := flagRow.FindStringSubmatch(line); m != nil && !registered[m[1]] {
+				stale = append(stale, fmt.Sprintf("%s:%d: -%s", p, i+1, m[1]))
+			}
+		}
+	}
+	if len(stale) > 0 {
+		return fmt.Errorf("flag tables document flags no binary registers:\n%s", strings.Join(stale, "\n"))
 	}
 	return nil
 }

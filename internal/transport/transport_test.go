@@ -22,11 +22,11 @@ import (
 func startServer(t *testing.T, cfg Config) (string, *Server, func()) {
 	t.Helper()
 	if cfg.Backend == nil {
-		sm, err := stardust.NewSafe(stardust.Config{Streams: 4, W: 8, Levels: 3})
+		m, err := stardust.New(stardust.Config{Streams: 4, W: 8, Levels: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Backend = sm
+		cfg.Backend = stardust.NewSafeWatcher(m)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf

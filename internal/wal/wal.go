@@ -123,9 +123,10 @@ type Config struct {
 	// degraded-mode entry and false on re-attach. FailDegrade only.
 	OnDegraded func(degraded bool)
 	// Recover, when set, runs once the degraded-mode probe sees a healthy
-	// disk. It must call Reattach itself, serialized against ingestion,
-	// and then persist a catch-up checkpoint — that ordering makes the
-	// samples ingested while degraded crash-safe again (see Reattach).
+	// disk. It must persist a catch-up checkpoint and then call Reattach
+	// itself, serialized against ingestion — that ordering makes the
+	// samples ingested while degraded crash-safe before the log reports
+	// healthy again (see Reattach).
 	// When nil the probe loop calls Reattach directly; the degraded
 	// window then stays uncheckpointed until the caller's next snapshot.
 	// FailDegrade only.
@@ -662,10 +663,11 @@ func (l *Log) probeDisk() bool {
 // degraded.
 //
 // The records ingested while degraded exist only in monitor memory; the
-// Config.Recover callback is expected to call Reattach first and then
-// persist a catch-up checkpoint, serialized against ingestion, so that a
-// later crash recovers them from the checkpoint (a crash in between loses
-// exactly the degraded window — those acks were never durable). Reattach
+// Config.Recover callback is expected to persist a catch-up checkpoint
+// first and only then call Reattach, serialized against ingestion, so
+// that a later crash recovers them from the checkpoint and the log never
+// reports healthy while they are still memory-only (a crash in between
+// replays the old segments over the checkpoint idempotently). Reattach
 // on an attached log is a no-op.
 func (l *Log) Reattach() error {
 	l.mu.Lock()

@@ -96,7 +96,7 @@ func TestMonitorMetricsQueryClasses(t *testing.T) {
 // TestMetricsMonotonicUnderConcurrency: counters only ever grow while
 // ingest, queries and snapshot reads race (the -race target of the PR).
 func TestMetricsMonotonicUnderConcurrency(t *testing.T) {
-	m, err := NewSafe(Config{Streams: 4, W: 8, Levels: 3, Transform: Sum, BoxCapacity: 4})
+	m, err := newSafeWatcher(Config{Streams: 4, W: 8, Levels: 3, Transform: Sum, BoxCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

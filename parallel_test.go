@@ -244,7 +244,7 @@ func TestIngestBatchWrappers(t *testing.T) {
 		vs[i] = float64(i % 7)
 	}
 
-	safe, err := NewSafe(cfg)
+	safe, err := newSafeWatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,66 +28,49 @@ func Recover(cfg Config, snapshotPath string) (*Monitor, ReplayStats, error) {
 	if cfg.Durability.Dir == "" {
 		return nil, ReplayStats{}, fmt.Errorf("stardust: Recover requires Config.Durability.Dir")
 	}
-	m, err := loadOrNewMonitor(cfg, snapshotPath)
+	sw, stats, err := RecoverWatcher(cfg, snapshotPath, nil)
 	if err != nil {
-		return nil, ReplayStats{}, err
+		return nil, stats, err
 	}
-	log, err := openWAL(cfg.Durability, &m.metrics.WAL)
-	if err != nil {
-		return nil, ReplayStats{}, fmt.Errorf("stardust: %v", err)
-	}
-	stats, err := log.Replay(func(rec wal.Record) error {
-		m.applyReplay(rec)
-		return nil
-	})
-	if err != nil {
-		log.Close()
-		return nil, stats, fmt.Errorf("stardust: wal replay: %w", err)
-	}
-	m.wal = log
-	return m, stats, nil
+	return sw.w.mon, stats, nil
 }
 
-// RecoverWatcher restores a durable monitor together with its standing
-// queries. register is called with the fresh watcher BEFORE replay so it
-// can re-register the deployment's watches; the watcher is then primed
-// against the snapshot-restored state (snapshot-covered samples are
-// skipped by replay, so their evaluations must be reconstructed from the
-// restored summary) and replay pushes every remaining sample through
+// RecoverWatcher restores a deployment together with its standing
+// queries — the one boot path of a concurrent backend. The snapshot is
+// restored as by Recover (or a fresh monitor built from cfg) and wrapped
+// in a SafeWatcher; register is then called with it to install the
+// deployment's watches (through the SafeWatcher's own methods, or a
+// registry built over it). The watches are primed against the restored
+// state (snapshot-covered samples are skipped by replay, so their
+// evaluations must be reconstructed from the restored summary), and,
+// when cfg.Durability.Dir is set, the WAL tail is replayed through
 // standing-query evaluation with events suppressed, re-deriving each
-// watch's edge and dedup state. Alarms that fired before the crash are
-// therefore NOT fired again — after recovery the watcher behaves exactly
-// as if ingestion had never been interrupted.
-func RecoverWatcher(cfg Config, snapshotPath string, register func(*Watcher) error) (*Watcher, ReplayStats, error) {
-	if cfg.Durability.Dir == "" {
-		return nil, ReplayStats{}, fmt.Errorf("stardust: RecoverWatcher requires Config.Durability.Dir")
-	}
+// watch's edge and dedup state, before the log is attached. Alarms that
+// fired before the crash are therefore NOT fired again — after recovery
+// the watcher behaves exactly as if ingestion had never been
+// interrupted. Without a WAL directory only the snapshot is restored
+// and the zero ReplayStats is returned.
+func RecoverWatcher(cfg Config, snapshotPath string, register func(*SafeWatcher) error) (*SafeWatcher, ReplayStats, error) {
 	m, err := loadOrNewMonitor(cfg, snapshotPath)
 	if err != nil {
 		return nil, ReplayStats{}, err
 	}
-	w := NewWatcher(m)
+	sw := NewSafeWatcher(m)
 	if register != nil {
-		if err := register(w); err != nil {
+		if err := register(sw); err != nil {
 			return nil, ReplayStats{}, err
 		}
 	}
-	w.primeRecovery()
+	sw.w.primeRecovery()
+	if cfg.Durability.Dir == "" {
+		return sw, ReplayStats{}, nil
+	}
 	log, err := openWAL(cfg.Durability, &m.metrics.WAL)
 	if err != nil {
 		return nil, ReplayStats{}, fmt.Errorf("stardust: %v", err)
 	}
 	stats, err := log.Replay(func(rec wal.Record) error {
-		for rec.Stream >= m.NumStreams() {
-			m.AddStream()
-		}
-		now := m.sum.Now(rec.Stream)
-		for i, v := range rec.Values {
-			if rec.Start+int64(i) <= now {
-				continue
-			}
-			w.replaySample(rec.Stream, v)
-		}
+		sw.w.applyRecord(rec)
 		return nil
 	})
 	if err != nil {
@@ -95,7 +78,7 @@ func RecoverWatcher(cfg Config, snapshotPath string, register func(*Watcher) err
 		return nil, stats, fmt.Errorf("stardust: wal replay: %w", err)
 	}
 	m.wal = log
-	return w, stats, nil
+	return sw, stats, nil
 }
 
 // RecoverSharded restores a durable sharded monitor: the SDSH snapshot is
@@ -113,8 +96,8 @@ func RecoverSharded(cfg Config, shards int, snapshotPath string) (*ShardedMonito
 		switch {
 		case err == nil:
 			for _, shard := range s.shards {
-				shard.m.SetBadValuePolicy(cfg.BadValues)
-				shard.m.SetParallelism(cfg.Parallel.Workers)
+				shard.w.mon.SetBadValuePolicy(cfg.BadValues)
+				shard.w.mon.SetParallelism(cfg.Parallel.Workers)
 			}
 			sm = s
 		case errors.Is(err, fs.ErrNotExist):
@@ -135,13 +118,14 @@ func RecoverSharded(cfg Config, shards int, snapshotPath string) (*ShardedMonito
 	for i, shard := range sm.shards {
 		d := cfg.Durability
 		d.Dir = shardWALDir(cfg.Durability.Dir, i)
-		log, err := openWAL(d, &shard.m.metrics.WAL)
+		m := shard.w.mon
+		log, err := openWAL(d, &m.metrics.WAL)
 		if err != nil {
 			sm.Close()
 			return nil, nil, fmt.Errorf("stardust: shard %d: %v", i, err)
 		}
 		stats, err := log.Replay(func(rec wal.Record) error {
-			shard.m.applyReplay(rec)
+			shard.w.applyRecord(rec)
 			return nil
 		})
 		if err != nil {
@@ -149,7 +133,7 @@ func RecoverSharded(cfg Config, shards int, snapshotPath string) (*ShardedMonito
 			sm.Close()
 			return nil, nil, fmt.Errorf("stardust: shard %d wal replay: %w", i, err)
 		}
-		shard.m.wal = log
+		m.wal = log
 		allStats[i] = stats
 	}
 	return sm, allStats, nil
@@ -180,11 +164,17 @@ func loadOrNewMonitor(cfg Config, snapshotPath string) (*Monitor, error) {
 	return newMonitor(cfg)
 }
 
-// applyReplay applies one WAL record to the summary, skipping samples the
-// restored snapshot already covers (the record's times are ≤ the stream
-// clock). Streams registered with AddStream after the snapshot are
-// re-registered on demand.
-func (m *Monitor) applyReplay(rec wal.Record) {
+// applyRecord applies one logged run through the watcher's apply path,
+// skipping the values whose discrete times the summary already covers
+// (a restored snapshot or replica bootstrap), so applying from any LSN at
+// or before the covered watermark plus one is exact. Streams registered
+// with AddStream after the snapshot are re-registered on demand. The
+// guard and the WAL are bypassed — the record holds only samples the
+// guard already admitted — and evaluation errors are dropped, as the
+// live push's partial-event contract already delivered them. It returns
+// the triggered events for the caller to suppress or deliver.
+func (w *Watcher) applyRecord(rec wal.Record) []Event {
+	m := w.mon
 	for rec.Stream >= m.NumStreams() {
 		m.AddStream()
 	}
@@ -192,11 +182,12 @@ func (m *Monitor) applyReplay(rec wal.Record) {
 	if now := m.sum.Now(rec.Stream); rec.Start <= now {
 		skip := now - rec.Start + 1
 		if skip >= int64(len(vs)) {
-			return
+			return nil
 		}
 		vs = vs[skip:]
 	}
-	m.sum.AppendBatch(rec.Stream, vs)
+	events, _ := w.apply(rec.Stream, vs, false)
+	return events
 }
 
 // LoadShardedFile restores a sharded monitor from a snapshot file written

@@ -10,7 +10,7 @@ import (
 // WALRecord is one write-ahead-log record: a run of admitted samples for
 // one stream with their assigned discrete times. It is the unit shipped
 // from a replication primary to its read-only followers, and the unit
-// those followers apply through ApplyWALRecord.
+// those followers apply through SafeWatcher.ApplyWALRecord.
 type WALRecord = wal.Record
 
 // WAL exposes the monitor's write-ahead log, or nil without durability.
@@ -19,82 +19,24 @@ type WALRecord = wal.Record
 // the ingestion path.
 func (m *Monitor) WAL() *wal.Log { return m.wal }
 
-// ApplyWALRecord applies one replicated record to the summary with the
-// same idempotent time-skip as crash-recovery replay: values whose
-// discrete time the summary already covers are no-ops, so applying from
-// any LSN at or before the bootstrap watermark plus one is exact. The
-// record bypasses the resilience guard (the primary's guard already
-// admitted it) and is not re-logged — followers are not durable; their
-// durability is the primary's log.
-func (m *Monitor) ApplyWALRecord(rec WALRecord) error {
-	if m.wal != nil {
-		return fmt.Errorf("stardust: ApplyWALRecord on a durable monitor (followers must not write-ahead log)")
-	}
-	m.applyReplay(rec)
-	return nil
-}
-
-// WAL exposes the wrapped monitor's write-ahead log (see Monitor.WAL).
+// WAL exposes the watched monitor's write-ahead log (see Monitor.WAL).
 // The log is internally synchronized, so serving replication streams
-// from it does not take the wrapper's lock.
-func (s *SafeMonitor) WAL() *wal.Log { return s.m.wal }
-
-// ApplyWALRecord applies one replicated record under the write lock,
-// serializing with concurrent queries (see Monitor.ApplyWALRecord).
-func (s *SafeMonitor) ApplyWALRecord(rec WALRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.ApplyWALRecord(rec)
-}
-
-// BootstrapReplica replaces the wrapped monitor's state from a snapshot
-// stream — a follower (re-)bootstrapping from its primary's
-// /repl/snapshot. The snapshot is loaded outside the lock, the wrapped
-// monitor's runtime settings (bad-value policy, query parallelism) are
-// carried over, and the swap itself is a pointer assignment under the
-// write lock, so queries block only momentarily. The previous state is
-// discarded; monitor-level metrics restart from zero, exactly as after
-// LoadFile.
-func (s *SafeMonitor) BootstrapReplica(r io.Reader) error {
-	m, err := Load(r)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m.wal != nil {
-		return fmt.Errorf("stardust: BootstrapReplica on a durable monitor")
-	}
-	m.guard = s.m.guard
-	m.SetParallelism(s.m.Parallelism())
-	s.m = m
-	return nil
+// from it does not hold the watcher's lock.
+func (s *SafeWatcher) WAL() *wal.Log {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.wal
 }
 
 // Promote attaches log — a sealed replication mirror handed over by
-// Follower.Seal — as the wrapped monitor's write-ahead log, converting a
+// Follower.Seal — as the watched monitor's write-ahead log, converting a
 // read-only follower into a durable primary in place: subsequent
 // ingestion write-ahead logs at the LSNs continuing the replicated
-// history (so surviving followers keep streaming without a re-bootstrap),
-// and ApplyWALRecord / BootstrapReplica begin refusing exactly as on any
-// durable monitor. The log is re-pointed at this monitor's metrics.
-func (s *SafeMonitor) Promote(log *wal.Log) error {
-	if log == nil {
-		return fmt.Errorf("stardust: Promote requires a sealed mirror log")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m.wal != nil {
-		return fmt.Errorf("stardust: Promote on an already-durable monitor")
-	}
-	log.SetMetrics(&s.m.metrics.WAL)
-	s.m.wal = log
-	return nil
-}
-
-// Promote attaches a sealed mirror log under the watcher lock (see
-// SafeMonitor.Promote). Standing queries keep running across the
-// promotion — only the durability role changes.
+// history (so surviving followers keep streaming without a
+// re-bootstrap), and ApplyWALRecord / BootstrapReplica begin refusing
+// exactly as on any durable monitor. The log is re-pointed at this
+// monitor's metrics. Standing queries keep running across the promotion
+// — only the durability role changes.
 func (s *SafeWatcher) Promote(log *wal.Log) error {
 	if log == nil {
 		return fmt.Errorf("stardust: Promote requires a sealed mirror log")
@@ -110,54 +52,35 @@ func (s *SafeWatcher) Promote(log *wal.Log) error {
 	return nil
 }
 
-// applyReplicated applies one already-admitted replicated sample and
-// evaluates the standing queries, returning the events it triggered —
-// the live-replication counterpart of replaySample, which suppresses
-// them. The guard and the WAL are bypassed exactly as in replay.
-func (w *Watcher) applyReplicated(stream int, v float64) ([]Event, error) {
-	w.mon.sum.Append(stream, v)
-	w.feedAggs(stream, v)
-	return w.evaluate(stream, w.mon.Now(stream))
-}
-
 // ApplyWALRecord applies one replicated record through standing-query
-// evaluation under the watcher lock: snapshot-covered samples are
-// skipped, each remaining sample is applied and evaluated, and triggered
-// events go to the SetEventSink callback — a follower therefore emits
-// exactly the events the primary's uninterrupted ingestion would have,
-// minus those already covered by its bootstrap snapshot. Evaluation
-// errors are dropped, matching the live push's partial-event contract.
+// evaluation under the write lock, with the same idempotent time-skip as
+// crash-recovery replay: snapshot-covered samples are skipped, the rest
+// are applied and evaluated, and triggered events go to the SetEventSink
+// callback — a follower therefore emits exactly the events the primary's
+// uninterrupted ingestion would have, minus those already covered by its
+// bootstrap snapshot. The record bypasses the resilience guard (the
+// primary's guard already admitted it) and is not re-logged — followers
+// are not durable; their durability is the primary's log.
 func (s *SafeWatcher) ApplyWALRecord(rec WALRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.w.mon
-	if m.wal != nil {
+	if s.w.mon.wal != nil {
 		return fmt.Errorf("stardust: ApplyWALRecord on a durable monitor (followers must not write-ahead log)")
 	}
-	for rec.Stream >= m.NumStreams() {
-		m.AddStream()
-	}
-	now := m.sum.Now(rec.Stream)
-	var events []Event
-	for i, v := range rec.Values {
-		if rec.Start+int64(i) <= now {
-			continue
-		}
-		evs, _ := s.w.applyReplicated(rec.Stream, v)
-		events = append(events, evs...)
-	}
-	if len(events) > 0 && s.sink != nil {
-		s.sink(events)
-	}
+	s.deliver(s.w.applyRecord(rec))
 	return nil
 }
 
 // BootstrapReplica replaces the watched monitor's state from a snapshot
-// stream and re-primes every standing query against it (primeRecovery's
-// edge and dedup reconstruction), so alarms the snapshot state already
-// reflects are not re-fired. Registered watches survive the swap — they
-// hold only their parameters, not monitor state. Runtime settings carry
-// over as in SafeMonitor.BootstrapReplica.
+// stream — a follower (re-)bootstrapping from its primary's
+// /repl/snapshot — and re-primes every standing query against it
+// (primeRecovery's edge and dedup reconstruction), so alarms the
+// snapshot state already reflects are not re-fired. The snapshot is
+// loaded outside the lock; the previous monitor's runtime settings
+// (bad-value guard, query parallelism) carry over, and registered
+// watches survive the swap — they hold only their parameters, not
+// monitor state. Monitor-level metrics restart from zero, exactly as
+// after LoadFile.
 func (s *SafeWatcher) BootstrapReplica(r io.Reader) error {
 	m, err := Load(r)
 	if err != nil {

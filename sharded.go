@@ -27,7 +27,7 @@ import (
 // correlation-dominated workloads a single Monitor's index remains the
 // better fit.
 type ShardedMonitor struct {
-	shards  []*SafeMonitor
+	shards  []*SafeWatcher
 	perShrd int
 	streams int
 }
@@ -60,12 +60,12 @@ func NewSharded(cfg Config, shards int) (*ShardedMonitor, error) {
 		if cfg.Durability.Dir != "" {
 			scfg.Durability.Dir = shardWALDir(cfg.Durability.Dir, len(sm.shards))
 		}
-		shard, err := NewSafe(scfg)
+		m, err := New(scfg)
 		if err != nil {
 			sm.Close()
 			return nil, err
 		}
-		sm.shards = append(sm.shards, shard)
+		sm.shards = append(sm.shards, NewSafeWatcher(m))
 		remaining -= n
 	}
 	return sm, nil
@@ -80,7 +80,7 @@ func (sm *ShardedMonitor) NumShards() int { return len(sm.shards) }
 // locate maps a global stream id to (shard, local id), returning
 // ErrStreamRange for ids outside [0, NumStreams) so API boundaries can
 // reject bad requests instead of crashing the process.
-func (sm *ShardedMonitor) locate(stream int) (*SafeMonitor, int, error) {
+func (sm *ShardedMonitor) locate(stream int) (*SafeWatcher, int, error) {
 	if stream < 0 || stream >= sm.streams {
 		return nil, 0, fmt.Errorf("stardust: %w: stream %d not in [0, %d)", ErrStreamRange, stream, sm.streams)
 	}
@@ -164,7 +164,7 @@ func (sm *ShardedMonitor) FindPattern(q []float64, r float64) (PatternResult, er
 	var wg sync.WaitGroup
 	for i, shard := range sm.shards {
 		wg.Add(1)
-		go func(i int, shard *SafeMonitor) {
+		go func(i int, shard *SafeWatcher) {
 			defer wg.Done()
 			results[i], errs[i] = shard.FindPattern(q, r)
 		}(i, shard)
@@ -199,7 +199,7 @@ func (sm *ShardedMonitor) NearestPatterns(q []float64, k int) ([]Match, error) {
 	var wg sync.WaitGroup
 	for i, shard := range sm.shards {
 		wg.Add(1)
-		go func(i int, shard *SafeMonitor) {
+		go func(i int, shard *SafeWatcher) {
 			defer wg.Done()
 			results[i], errs[i] = shard.NearestPatterns(q, k)
 		}(i, shard)
@@ -243,7 +243,7 @@ func (sm *ShardedMonitor) Correlations(level int, r float64) (CorrelationResult,
 	var wg sync.WaitGroup
 	for i, shard := range sm.shards {
 		wg.Add(1)
-		go func(i int, shard *SafeMonitor) {
+		go func(i int, shard *SafeWatcher) {
 			defer wg.Done()
 			results[i], errs[i] = shard.Correlations(level, r)
 		}(i, shard)
@@ -308,7 +308,7 @@ func (sm *ShardedMonitor) LaggedCorrelations(level int, r float64, maxLag int) (
 	var wg sync.WaitGroup
 	for i, shard := range sm.shards {
 		wg.Add(1)
-		go func(i int, shard *SafeMonitor) {
+		go func(i int, shard *SafeWatcher) {
 			defer wg.Done()
 			results[i], errs[i] = shard.LaggedCorrelations(level, r, maxLag)
 		}(i, shard)
@@ -394,11 +394,11 @@ func (sm *ShardedMonitor) verifyCrossPair(p CorrPair, level int) (float64, bool)
 	if err != nil {
 		return 0, false
 	}
-	za, ok := sa.zNormWindow(la, level, p.TimeA)
+	za, ok := sa.ZNormWindow(la, level, p.TimeA)
 	if !ok {
 		return 0, false
 	}
-	zb, ok := sb.zNormWindow(lb, level, p.TimeB)
+	zb, ok := sb.ZNormWindow(lb, level, p.TimeB)
 	if !ok {
 		return 0, false
 	}
@@ -430,14 +430,13 @@ type localFeature struct {
 // latest feature at the level plus (when maxLag > 0) every retained
 // earlier feature within maxLag time steps of it, one entry per feature
 // time — mirroring the enumeration of core's lagged screen.
-func (s *SafeMonitor) recentLevelFeatures(level, maxLag int) []localFeature {
+func (s *SafeWatcher) recentLevelFeatures(level, maxLag int) []localFeature {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.m.recentLevelFeatures(level, maxLag)
+	return s.w.mon.recentLevelFeatures(level, maxLag)
 }
 
-// recentLevelFeatures is the lock-free core of the feature export shared by
-// SafeMonitor (read lock) and SafeWatcher (watcher mutex).
+// recentLevelFeatures is the lock-free core of the feature export.
 func (m *Monitor) recentLevelFeatures(level, maxLag int) []localFeature {
 	sum := m.sum
 	if level < 0 || level >= sum.Config().Levels {
@@ -463,16 +462,8 @@ func (m *Monitor) recentLevelFeatures(level, maxLag int) []localFeature {
 }
 
 // zNormWindow returns the z-normalized raw window of a local stream ending
-// at t at the level's window length, under the read lock. The returned
-// slice is freshly allocated and safe to use after the lock is released.
-func (s *SafeMonitor) zNormWindow(stream, level int, t int64) ([]float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.zNormWindow(stream, level, t)
-}
-
-// zNormWindow is the lock-free core of the verification-window export
-// shared by SafeMonitor (read lock) and SafeWatcher (watcher mutex).
+// at t at the level's window length — the lock-free core of the
+// verification-window export.
 func (m *Monitor) zNormWindow(stream, level int, t int64) ([]float64, bool) {
 	if level < 0 || level >= m.sum.Config().Levels {
 		return nil, false
@@ -601,7 +592,7 @@ func LoadSharded(r io.Reader) (*ShardedMonitor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stardust: shard %d: %w", i, err)
 		}
-		sm.shards = append(sm.shards, WrapSafe(m))
+		sm.shards = append(sm.shards, NewSafeWatcher(m))
 		sm.streams += m.NumStreams()
 	}
 	// The partition is contiguous: every shard but the last holds the full

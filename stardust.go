@@ -365,29 +365,9 @@ func (m *Monitor) Parallelism() int { return m.sum.Workers() }
 // configured bad-value policy) are repaired before appending. On error the
 // stream's clock does not advance.
 func (m *Monitor) Ingest(stream int, v float64) error {
-	n := m.metrics.Ingest.Samples.Inc()
-	admitted, err := m.guard.Admit(stream, v)
-	if err != nil {
-		return err
-	}
-	// Write-ahead ordering: the admitted sample reaches the log before the
-	// summary, so every state transition a crash can lose is replayable.
-	if m.wal != nil {
-		m.walOne[0] = admitted
-		if err := m.walAppend(stream, m.sum.Now(stream)+1, m.walOne[:]); err != nil {
-			return err
-		}
-	}
-	// Per-append latency is sampled (one append in obs.SampleEvery) so the
-	// two clock reads stay off the common path.
-	if obs.Sampled(n) {
-		start := time.Now()
-		m.sum.Append(stream, admitted)
-		m.metrics.Ingest.AppendNanos.Observe(float64(time.Since(start)))
-		return nil
-	}
-	m.sum.Append(stream, admitted)
-	return nil
+	run, err := m.admitOne(stream, v)
+	m.appendRun(stream, run, m.metrics.Ingest.Samples.Load())
+	return err
 }
 
 // IngestBatch ingests a run of consecutive values for one stream — the
@@ -400,10 +380,39 @@ func (m *Monitor) Ingest(stream int, v float64) error {
 // admitted run without re-entering the guard path. The R*-tree is still
 // updated once per completed feature — never per value.
 func (m *Monitor) IngestBatch(stream int, vs []float64) error {
-	if len(vs) == 0 {
-		return nil
+	run, err := m.admitBatch(stream, vs)
+	m.appendRun(stream, run, m.metrics.Ingest.Samples.Load())
+	return err
+}
+
+// admitOne runs one value through the guard and write-ahead logs it,
+// returning the admitted run (empty on rejection) for the caller to
+// apply. The run aliases scratch space valid until the next admission.
+func (m *Monitor) admitOne(stream int, v float64) ([]float64, error) {
+	m.metrics.Ingest.Samples.Inc()
+	admitted, err := m.guard.Admit(stream, v)
+	if err != nil {
+		return nil, err
 	}
-	n := m.metrics.Ingest.Samples.Add(int64(len(vs)))
+	m.walOne[0] = admitted
+	// Write-ahead ordering: the admitted sample reaches the log before the
+	// summary, so every state transition a crash can lose is replayable.
+	if err := m.logRun(stream, m.walOne[:]); err != nil {
+		return nil, err
+	}
+	return m.walOne[:], nil
+}
+
+// admitBatch runs a batch through the guard, skipping inadmissible
+// samples and joining their errors, and write-ahead logs the admitted
+// run as ONE record: one frame, one write syscall, and (under
+// FsyncAlways) one fsync for the batch. A failed log append returns no
+// run, so nothing unlogged is applied.
+func (m *Monitor) admitBatch(stream int, vs []float64) ([]float64, error) {
+	if len(vs) == 0 {
+		return nil, nil
+	}
+	m.metrics.Ingest.Samples.Add(int64(len(vs)))
 	m.metrics.Ingest.Batches.Inc()
 	m.metrics.Ingest.BatchSize.Observe(float64(len(vs)))
 	var errs []error
@@ -417,26 +426,36 @@ func (m *Monitor) IngestBatch(stream int, vs []float64) error {
 		admitted = append(admitted, a)
 	}
 	if len(admitted) > 0 {
-		// The whole admitted run is one WAL record: one frame, one write
-		// syscall, and (under FsyncAlways) one fsync for the batch.
-		if m.wal != nil {
-			if err := m.walAppend(stream, m.sum.Now(stream)+1, admitted); err != nil {
-				errs = append(errs, err)
-				return errors.Join(errs...)
-			}
-		}
-		// Amortized latency sampling: when the batch crosses a sampling
-		// point, the whole append run is timed once and recorded as its
-		// per-sample average.
-		if obs.SampledBatch(n, int64(len(vs))) {
-			start := time.Now()
-			m.sum.AppendBatch(stream, admitted)
-			m.metrics.Ingest.AppendNanos.Observe(float64(time.Since(start)) / float64(len(admitted)))
-		} else {
-			m.sum.AppendBatch(stream, admitted)
+		if err := m.logRun(stream, admitted); err != nil {
+			return nil, errors.Join(append(errs, err)...)
 		}
 	}
-	return errors.Join(errs...)
+	return admitted, errors.Join(errs...)
+}
+
+// logRun write-ahead logs an admitted run about to be appended to
+// stream (no-op without durability).
+func (m *Monitor) logRun(stream int, run []float64) error {
+	if m.wal == nil {
+		return nil
+	}
+	return m.walAppend(stream, m.sum.Now(stream)+1, run)
+}
+
+// appendRun appends an admitted run to the summary; end is the
+// cumulative ingestion count at the run's last sample. Per-append latency
+// is sampled (one sample in obs.SampleEvery is timed, so the two clock
+// reads stay off the common path): when the run crosses a sampling
+// point, the whole run is timed once and recorded as its per-sample
+// average.
+func (m *Monitor) appendRun(stream int, run []float64, end int64) {
+	if !obs.SampledBatch(end, int64(len(run))) {
+		m.sum.AppendBatch(stream, run)
+		return
+	}
+	start := time.Now()
+	m.sum.AppendBatch(stream, run)
+	m.metrics.Ingest.AppendNanos.Observe(float64(time.Since(start)) / float64(len(run)))
 }
 
 // IngestAll ingests one synchronized arrival across all streams through the

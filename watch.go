@@ -182,9 +182,12 @@ type corrWatch struct {
 // returns the events it triggered. The Watcher owns the Monitor's
 // ingestion; do not interleave direct Appends.
 type Watcher struct {
-	mon      *Monitor
-	nextID   int
-	aggs     []*aggWatch
+	mon    *Monitor
+	nextID int
+	// aggs holds the aggregate watches by stream, each list in install
+	// order, so an arrival touches only its own stream's watches (and
+	// emits their events in install order).
+	aggs     [][]*aggWatch
 	patterns []*patternWatch
 	corrs    []*corrWatch
 }
@@ -231,7 +234,10 @@ func (w *Watcher) WatchAggregate(stream, win int, threshold float64, edgeTrigger
 		a.reseed(sum.History(stream))
 		a.exactFn = a.exactNow
 	}
-	w.aggs = append(w.aggs, a)
+	for len(w.aggs) <= stream {
+		w.aggs = append(w.aggs, nil)
+	}
+	w.aggs[stream] = append(w.aggs[stream], a)
 	wm := w.watchMetrics()
 	wm.ActiveAggregate.Add(1)
 	wm.Installs.Inc()
@@ -308,12 +314,14 @@ func (w *Watcher) WatchCorrelation(level int, radius float64) (int, error) {
 // never misattribute its events to the removed watch.
 func (w *Watcher) Unwatch(id int) bool {
 	wm := w.watchMetrics()
-	for i, a := range w.aggs {
-		if a.id == id {
-			w.aggs = append(w.aggs[:i], w.aggs[i+1:]...)
-			wm.ActiveAggregate.Add(-1)
-			wm.Uninstalls.Inc()
-			return true
+	for s, list := range w.aggs {
+		for i, a := range list {
+			if a.id == id {
+				w.aggs[s] = append(list[:i], list[i+1:]...)
+				wm.ActiveAggregate.Add(-1)
+				wm.Uninstalls.Inc()
+				return true
+			}
 		}
 	}
 	for i, p := range w.patterns {
@@ -362,39 +370,96 @@ var fallbackWatchMetrics = obs.WatchMetrics{EvaluateNanos: obs.NewHistogram(obs.
 // consume the returned events even when err != nil — they are verified
 // alarms and will not be re-delivered.
 func (w *Watcher) Push(stream int, v float64) ([]Event, error) {
-	if err := w.mon.Ingest(stream, v); err != nil {
+	run, err := w.mon.admitOne(stream, v)
+	if err != nil {
 		return nil, err
 	}
-	w.feedAggsFromHistory(stream)
-	return w.evaluateInstrumented(stream, w.mon.Now(stream))
+	return w.apply(stream, run, true)
+}
+
+// ingestBatch is Push for a run of values on one stream, with
+// Monitor.IngestBatch's contract: inadmissible samples are skipped and
+// their errors joined, and the admitted run is one WAL record.
+func (w *Watcher) ingestBatch(stream int, vs []float64) ([]Event, error) {
+	run, err := w.mon.admitBatch(stream, vs)
+	events, aerr := w.apply(stream, run, true)
+	if aerr != nil {
+		err = errors.Join(err, aerr)
+	}
+	return events, err
+}
+
+// streamAggs returns the aggregate watches on stream, in install order.
+func (w *Watcher) streamAggs(stream int) []*aggWatch {
+	if stream < len(w.aggs) {
+		return w.aggs[stream]
+	}
+	return nil
+}
+
+// watched reports whether any installed watch can fire on an arrival on
+// stream: the stream's own aggregate watches, or any pattern or
+// correlation watch (those span every stream).
+func (w *Watcher) watched(stream int) bool {
+	return len(w.streamAggs(stream)) > 0 || len(w.patterns) > 0 || len(w.corrs) > 0
+}
+
+// apply appends an admitted run for stream to the summary and evaluates
+// the standing queries after every value — the one apply path behind
+// live ingestion, WAL replay and replication. It returns the triggered
+// events; replay suppresses them and replication delivers them. live
+// marks live ingestion, which alone feeds the stardust_watch_*
+// instruments and the append-latency samples. When no installed watch
+// can fire on the stream the run goes to the summary in one AppendBatch
+// (live runs still count one evaluation per value, in bulk). An
+// evaluation error does not stop the run: the remaining values are
+// applied and evaluated, and the errors are joined (the partial-event
+// contract of Push).
+func (w *Watcher) apply(stream int, run []float64, live bool) ([]Event, error) {
+	if len(run) == 0 {
+		return nil, nil
+	}
+	m := w.mon
+	end := m.metrics.Ingest.Samples.Load()
+	if !w.watched(stream) {
+		if live {
+			w.watchMetrics().Evaluations.Add(int64(len(run)))
+			m.appendRun(stream, run, end)
+		} else {
+			m.sum.AppendBatch(stream, run)
+		}
+		return nil, nil
+	}
+	var events []Event
+	var errs []error
+	for i, v := range run {
+		var evs []Event
+		var err error
+		if live {
+			m.appendRun(stream, run[i:i+1], end-int64(len(run)-1-i))
+			w.feedAggs(stream, v)
+			evs, err = w.evaluateInstrumented(stream, m.Now(stream))
+		} else {
+			m.sum.Append(stream, v)
+			w.feedAggs(stream, v)
+			evs, err = w.evaluate(stream, m.Now(stream))
+		}
+		events = append(events, evs...)
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return events, errors.Join(errs...)
 }
 
 // feedAggs advances the stream's standing-aggregate verifiers with one
 // already-admitted value — worst-case O(1) per watch.
 func (w *Watcher) feedAggs(stream int, v float64) {
 	mm := window.MinMaxOf(v)
-	for _, a := range w.aggs {
-		if a.agg != nil && a.stream == stream {
+	for _, a := range w.streamAggs(stream) {
+		if a.agg != nil {
 			a.agg.Push(mm)
 		}
-	}
-}
-
-// feedAggsFromHistory feeds the verifiers with the value the guard
-// actually admitted — repair policies may rewrite the caller's value, and
-// the verifier must see exactly what the summary appended. The admitted
-// value is read back from raw history, and only when some watch needs it.
-func (w *Watcher) feedAggsFromHistory(stream int) {
-	for _, a := range w.aggs {
-		if a.agg == nil || a.stream != stream {
-			continue
-		}
-		v, ok := w.mon.Summary().History(stream).At(w.mon.Now(stream))
-		if !ok {
-			return
-		}
-		w.feedAggs(stream, v)
-		return
 	}
 }
 
@@ -402,8 +467,8 @@ func (w *Watcher) feedAggsFromHistory(stream int) {
 // stardust_watch_* instruments: an evaluation counter driving sampled
 // pass latency (one pass in obs.SampleEvery is timed, mirroring the
 // append-latency discipline) and fired/cleared event counters. WAL
-// replay bypasses it — replayed events are suppressed, not delivered, so
-// they must not count as fired.
+// replay and replication bypass it — replayed events are suppressed, not
+// delivered, so they must not count as fired.
 func (w *Watcher) evaluateInstrumented(stream int, t int64) ([]Event, error) {
 	wm := w.watchMetrics()
 	timed := obs.Sampled(wm.Evaluations.Inc())
@@ -425,19 +490,6 @@ func (w *Watcher) evaluateInstrumented(stream int, t int64) ([]Event, error) {
 	return events, err
 }
 
-// replaySample applies one already-admitted sample during WAL replay and
-// re-evaluates the standing queries with events suppressed: recovery
-// re-derives the watches' edge and dedup state (firing flags, seen
-// matches and pairs) so alarms delivered before the crash are not
-// delivered again. The resilience guard is bypassed — the log holds only
-// admitted samples — and evaluation errors are dropped, exactly as the
-// live push's partial-event contract already delivered them pre-crash.
-func (w *Watcher) replaySample(stream int, v float64) {
-	w.mon.sum.Append(stream, v)
-	w.feedAggs(stream, v)
-	_, _ = w.evaluate(stream, w.mon.Now(stream))
-}
-
 // primeRecovery re-derives the standing queries' edge and dedup state
 // from an already-restored summary. Snapshot restore skips WAL replay
 // for covered samples, so the per-sample evaluates that built this
@@ -450,16 +502,18 @@ func (w *Watcher) replaySample(stream int, v float64) {
 // Results newer than the last tick are deliberately NOT marked: the
 // pre-crash run had not reported them yet, and the next tick will.
 func (w *Watcher) primeRecovery() {
-	for _, a := range w.aggs {
-		// The monitor's state may have been replaced wholesale (replica
-		// bootstrap), so the DABA verifier is rebuilt from the restored
-		// history before the alarm status is re-derived.
-		a.reseed(w.mon.Summary().History(a.stream))
-		if w.mon.Now(a.stream) < int64(a.window)-1 {
-			continue
-		}
-		if res, err := w.mon.checkAggregateVerified(a.stream, a.window, a.threshold, a.exactFn); err == nil {
-			a.firing = res.Alarm
+	for _, list := range w.aggs {
+		for _, a := range list {
+			// The monitor's state may have been replaced wholesale (replica
+			// bootstrap), so the DABA verifier is rebuilt from the restored
+			// history before the alarm status is re-derived.
+			a.reseed(w.mon.Summary().History(a.stream))
+			if w.mon.Now(a.stream) < int64(a.window)-1 {
+				continue
+			}
+			if res, err := w.mon.checkAggregateVerified(a.stream, a.window, a.threshold, a.exactFn); err == nil {
+				a.firing = res.Alarm
+			}
 		}
 	}
 	for _, p := range w.patterns {
@@ -510,8 +564,8 @@ func lastTick(now, every int64) int64 {
 func (w *Watcher) evaluate(stream int, t int64) ([]Event, error) {
 	var events []Event
 
-	for _, a := range w.aggs {
-		if a.stream != stream || t < int64(a.window)-1 {
+	for _, a := range w.streamAggs(stream) {
+		if t < int64(a.window)-1 {
 			continue
 		}
 		res, err := w.mon.checkAggregateVerified(a.stream, a.window, a.threshold, a.exactFn)

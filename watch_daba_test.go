@@ -12,9 +12,11 @@ import (
 // forcing the pre-change path: exact verification by the O(w) fold over
 // raw history on every candidate.
 func stripDABA(w *Watcher) {
-	for _, a := range w.aggs {
-		a.agg = nil
-		a.exactFn = nil
+	for _, list := range w.aggs {
+		for _, a := range list {
+			a.agg = nil
+			a.exactFn = nil
+		}
 	}
 }
 
@@ -64,9 +66,11 @@ func TestWatcherDABAParity(t *testing.T) {
 				}
 			}
 			if tr != Sum {
-				for _, a := range wNew.aggs {
-					if a.agg == nil {
-						t.Fatalf("%v: DABA verifier not installed", tr)
+				for _, list := range wNew.aggs {
+					for _, a := range list {
+						if a.agg == nil {
+							t.Fatalf("%v: DABA verifier not installed", tr)
+						}
 					}
 				}
 			}
@@ -146,8 +150,8 @@ func TestWatcherDABARecoveryParity(t *testing.T) {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			continue // replay carries only admitted samples
 		}
-		wNew.replaySample(0, v)
-		wOld.replaySample(0, v)
+		wNew.apply(0, []float64{v}, false)
+		wOld.apply(0, []float64{v}, false)
 	}
 	for i, v := range parityStream(rng, 200) {
 		evNew, _ := wNew.Push(0, v)
