@@ -5,7 +5,8 @@
 # stardust-server and stardust-router flag sets), staticcheck, the full
 # test suite under the race detector with shuffled execution order, a
 # short-mode chaos-matrix run (randomized fault schedules across WAL +
-# replication + failover), a wire soak smoke (concurrent binary TCP
+# replication + failover), 200 isolated runs of the TCP tier's
+# frame-accounting test, a wire soak smoke (concurrent binary TCP
 # clients, snapshot checked byte-identical against an HTTP-ingested
 # reference), a cluster e2e smoke (three stardust-server shards behind a
 # stardust-router on ephemeral ports: mixed-transport ingest, every query
@@ -122,6 +123,15 @@ stage_done
 # exercises the fault-injection path end to end.
 stage "chaos matrix (short mode, -race)"
 go test -race -short -count=1 -run '^TestChaosMatrix$' ./internal/replication
+stage_done
+
+# The TCP tier counts each reply frame before its bytes can reach the
+# client; a client that reads the reply and then the server's metrics
+# must see it counted. One run of the ordering test rarely loses that race
+# when the order is wrong; 200 isolated runs (about a second) make a
+# regression show.
+stage "transport frame accounting (200 runs)"
+go test -count=200 -run 'TestIngestAckAndStats$' ./internal/transport
 stage_done
 
 # Like the chaos matrix: -count=1 so the soak demonstrably runs the

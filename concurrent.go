@@ -15,9 +15,9 @@ import (
 // read lock, so any number of goroutines may query while ingestion
 // proceeds from another. A SafeWatcher with no watches installed is a
 // plain concurrent monitor: runs for a stream no watch can fire on go
-// straight to the summary. For write-heavy multi-stream pipelines,
-// sharding streams across independent monitors (ShardedMonitor) scales
-// better than a single lock.
+// straight to the summary. Write-heavy multi-stream pipelines scale out by
+// partitioning streams across stardust-server processes behind
+// stardust-router (internal/cluster) rather than past a single lock.
 type SafeWatcher struct {
 	mu   sync.RWMutex
 	w    *Watcher

@@ -63,9 +63,9 @@ type WALFS = wal.FS
 // (Config.Durability). With a Dir set, every sample that passes the
 // resilience guard is appended to a CRC-framed log segment BEFORE it is
 // applied to the summary, so a crash between snapshots loses at most the
-// unfsynced tail; Recover (or RecoverWatcher / RecoverSharded) restores
-// the latest snapshot and replays the log over it. Snapshots taken with
-// Checkpoint trim segments the snapshot has made redundant.
+// unfsynced tail; Recover (or RecoverWatcher) restores the latest
+// snapshot and replays the log over it. Snapshots taken with Checkpoint
+// trim segments the snapshot has made redundant.
 type DurabilityConfig struct {
 	// Dir is the WAL segment directory. Empty disables durability.
 	// New refuses a directory that already holds records — restarting a
@@ -225,46 +225,6 @@ func (s *SafeWatcher) ReattachWAL(path string) error {
 		}
 	}
 	return m.wal.Reattach()
-}
-
-// Close closes every shard's WAL.
-func (sm *ShardedMonitor) Close() error {
-	var first error
-	for _, shard := range sm.shards {
-		if err := shard.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Checkpoint persists the sharded snapshot to path and trims every
-// shard's WAL through its pre-snapshot watermark.
-func (sm *ShardedMonitor) Checkpoint(path string) error {
-	lsns := make([]uint64, len(sm.shards))
-	durable := false
-	for i, shard := range sm.shards {
-		if wl := shard.WAL(); wl != nil {
-			lsns[i] = wl.LastLSN()
-			durable = true
-		}
-	}
-	if err := WriteSnapshotFile(sm, path); err != nil {
-		return err
-	}
-	if !durable {
-		return nil
-	}
-	for i, shard := range sm.shards {
-		wl := shard.WAL()
-		if wl == nil {
-			continue
-		}
-		if _, err := wl.TrimThrough(lsns[i]); err != nil {
-			return fmt.Errorf("stardust: trimming shard %d wal: %v", i, err)
-		}
-	}
-	return nil
 }
 
 // Close closes the wrapped monitor's WAL after in-flight pushes drain.

@@ -236,74 +236,6 @@ func TestCheckpointTrimsSegments(t *testing.T) {
 	}
 }
 
-func TestRecoverShardedRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Streams: 8, W: 8, Levels: 2, Transform: Sum, Mode: Online, BoxCapacity: 4,
-		Durability: DurabilityConfig{Dir: filepath.Join(dir, "wal"), Fsync: FsyncNone},
-	}
-	snap := filepath.Join(dir, "state.snap")
-
-	sm, err := NewSharded(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewSharded(withoutWAL(cfg), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		for s := 0; s < cfg.Streams; s++ {
-			v := float64((i*13+s)%17) - 4
-			if err := sm.Ingest(s, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := want.Ingest(s, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := sm.Checkpoint(snap); err != nil {
-		t.Fatal(err)
-	}
-	for i := 50; i < 80; i++ {
-		for s := 0; s < cfg.Streams; s++ {
-			v := float64((i*13+s)%17) - 4
-			if err := sm.Ingest(s, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := want.Ingest(s, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Crash without Close; recover snapshot + per-shard WALs.
-	got, allStats, err := RecoverSharded(cfg, 4, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if len(allStats) != got.NumShards() {
-		t.Fatalf("got %d replay stats for %d shards", len(allStats), got.NumShards())
-	}
-	for s := 0; s < cfg.Streams; s++ {
-		if g, w := got.Now(s), want.Now(s); g != w {
-			t.Fatalf("stream %d: Now = %d, want %d", s, g, w)
-		}
-		res, err := got.CheckAggregate(s, 16, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wres, err := want.CheckAggregate(s, 16, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Alarm != wres.Alarm || math.Abs(res.Exact-wres.Exact) > 1e-9 {
-			t.Fatalf("stream %d: recovered aggregate %+v, want %+v", s, res, wres)
-		}
-	}
-}
-
 func TestIngestAfterCloseFails(t *testing.T) {
 	cfg := durableCfg(filepath.Join(t.TempDir(), "wal"))
 	m, err := New(cfg)

@@ -1,6 +1,10 @@
 package stardust
 
-import "errors"
+import (
+	"errors"
+
+	"stardust/internal/stats"
+)
 
 // ErrPartialResult marks a scatter-gather query answer assembled from a
 // subset of a cluster's shards: one or more shards were unreachable and the
@@ -14,8 +18,7 @@ var ErrPartialResult = errors.New("partial result: one or more shards unavailabl
 // LevelFeature is one stream's summary feature box at a resolution level,
 // exported in plain-data form so coordinators can merge correlation screens
 // across process boundaries: the cross-shard phase of a clustered
-// Correlations/LaggedCorrelations round screens these boxes pairwise
-// exactly the way ShardedMonitor screens its shards' in-process features.
+// Correlations/LaggedCorrelations round screens these boxes pairwise.
 type LevelFeature struct {
 	// Stream is the stream id in the monitor's own id space.
 	Stream int `json:"stream"`
@@ -32,8 +35,8 @@ type LevelFeature struct {
 // FeatureSource is the surface a monitor exposes so an out-of-process
 // coordinator can run the cross-shard correlation merge: the retained
 // feature boxes for screening, and exact z-normalized raw windows for
-// verification. SafeWatcher and ShardedMonitor implement it; the HTTP
-// server serves it on the /cluster/features and /cluster/znorm endpoints.
+// verification. SafeWatcher implements it; the HTTP server serves it on
+// the /cluster/features and /cluster/znorm endpoints.
 type FeatureSource interface {
 	// RecentLevelFeatures returns each stream's latest feature at the
 	// level plus, when maxLag > 0, every retained earlier feature within
@@ -64,29 +67,16 @@ type ZNormResult struct {
 	OK bool `json:"ok"`
 }
 
-// Compile-time checks: every lock-guarded monitor flavor exports its
-// features for cross-process merges.
-var (
-	_ FeatureSource = (*SafeWatcher)(nil)
-	_ FeatureSource = (*ShardedMonitor)(nil)
-)
-
-// exportFeatures converts the internal feature form to the plain-data one.
-func exportFeatures(feats []localFeature) []LevelFeature {
-	out := make([]LevelFeature, 0, len(feats))
-	for _, f := range feats {
-		out = append(out, LevelFeature{
-			Stream: f.stream, T: f.t, Latest: f.latest,
-			Min: f.box.Min, Max: f.box.Max,
-		})
-	}
-	return out
-}
+// Compile-time check: the concurrent backend exports its features for
+// cross-process merges.
+var _ FeatureSource = (*SafeWatcher)(nil)
 
 // RecentLevelFeatures returns the watched monitor's retained level features
-// in exported form, under the read lock; see FeatureSource.
+// under the read lock; see FeatureSource.
 func (s *SafeWatcher) RecentLevelFeatures(level, maxLag int) []LevelFeature {
-	return exportFeatures(s.recentLevelFeatures(level, maxLag))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.w.mon.recentLevelFeatures(level, maxLag)
 }
 
 // ZNormWindow returns the z-normalized raw window of a stream ending at t,
@@ -98,26 +88,48 @@ func (s *SafeWatcher) ZNormWindow(stream, level int, t int64) ([]float64, bool) 
 	return s.w.mon.zNormWindow(stream, level, t)
 }
 
-// RecentLevelFeatures returns the partition's retained level features with
-// stream ids translated to the global space; see FeatureSource.
-func (sm *ShardedMonitor) RecentLevelFeatures(level, maxLag int) []LevelFeature {
-	feats := sm.collectFeatures(level, maxLag)
-	out := make([]LevelFeature, 0, len(feats))
-	for _, f := range feats {
-		out = append(out, LevelFeature{
-			Stream: f.global, T: f.t, Latest: f.latest,
-			Min: f.box.Min, Max: f.box.Max,
-		})
+// recentLevelFeatures returns each stream's latest feature at the level
+// plus (when maxLag > 0) every retained earlier feature within maxLag time
+// steps of it, one entry per feature time — mirroring the enumeration of
+// core's lagged screen.
+func (m *Monitor) recentLevelFeatures(level, maxLag int) []LevelFeature {
+	sum := m.sum
+	if level < 0 || level >= sum.Config().Levels {
+		return nil
+	}
+	rate := int64(sum.Config().Rate(level))
+	var out []LevelFeature
+	for i := 0; i < sum.NumStreams(); i++ {
+		box, _, t2, ok := sum.CurrentFeature(i, level)
+		if !ok {
+			continue
+		}
+		out = append(out, LevelFeature{Stream: i, T: t2, Latest: true, Min: box.Min, Max: box.Max})
+		for tau := t2 - rate; tau >= t2-int64(maxLag); tau -= rate {
+			b, ok := sum.FeatureBoxAt(i, level, tau)
+			if !ok {
+				continue
+			}
+			out = append(out, LevelFeature{Stream: i, T: tau, Min: b.Min, Max: b.Max})
+		}
 	}
 	return out
 }
 
-// ZNormWindow routes the window fetch to the owning shard; see
-// FeatureSource.
-func (sm *ShardedMonitor) ZNormWindow(stream, level int, t int64) ([]float64, bool) {
-	shard, local, err := sm.locate(stream)
+// zNormWindow returns the z-normalized raw window of a stream ending at t
+// at the level's window length — the lock-free core of the
+// verification-window export.
+func (m *Monitor) zNormWindow(stream, level int, t int64) ([]float64, bool) {
+	if level < 0 || level >= m.sum.Config().Levels {
+		return nil, false
+	}
+	if stream < 0 || stream >= m.sum.NumStreams() {
+		return nil, false
+	}
+	w := int64(m.sum.Config().LevelWindow(level))
+	win, err := m.sum.History(stream).Range(t-w+1, t)
 	if err != nil {
 		return nil, false
 	}
-	return shard.ZNormWindow(local, level, t)
+	return stats.ZNormalize(win), true
 }

@@ -2,9 +2,9 @@ package stardust
 
 import "testing"
 
-// ingester is the fallible ingest surface shared by Monitor, SafeWatcher
-// and ShardedMonitor; the must* helpers below let tests that
-// only feed known-good data use it without per-call error plumbing.
+// ingester is the fallible ingest surface shared by Monitor and
+// SafeWatcher; the must* helpers below let tests that only feed
+// known-good data use it without per-call error plumbing.
 type ingester interface {
 	Ingest(stream int, v float64) error
 	IngestAll(vs []float64) error

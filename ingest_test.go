@@ -170,33 +170,6 @@ func TestSafeWatcherIngest(t *testing.T) {
 	}
 }
 
-func TestShardedIngestAndRangeErrors(t *testing.T) {
-	sm, err := NewSharded(Config{Streams: 10, W: 8, Levels: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 10; s++ {
-		if err := sm.Ingest(s, float64(s)); err != nil {
-			t.Fatalf("stream %d: %v", s, err)
-		}
-	}
-	// Out-of-range ids are typed errors, not process-killing panics.
-	for _, s := range []int{-1, 10, 999} {
-		if err := sm.Ingest(s, 1); !errors.Is(err, ErrStreamRange) {
-			t.Fatalf("Ingest(%d) err = %v, want ErrStreamRange", s, err)
-		}
-	}
-	if _, err := sm.CheckAggregate(99, 8, 1); !errors.Is(err, ErrStreamRange) {
-		t.Fatalf("CheckAggregate range err = %v", err)
-	}
-	if err := sm.Ingest(3, math.NaN()); !errors.Is(err, ErrBadValue) {
-		t.Fatalf("sharded bad value err = %v", err)
-	}
-	if err := sm.IngestAll(make([]float64, 9)); !errors.Is(err, ErrStreamRange) {
-		t.Fatalf("IngestAll mismatch err = %v", err)
-	}
-}
-
 func TestWatcherPushRejectsBadValues(t *testing.T) {
 	m := newSumMonitor(t, Config{})
 	w := NewWatcher(m)

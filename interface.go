@@ -3,12 +3,13 @@ package stardust
 import "io"
 
 // Interface is the unified monitoring surface shared by every monitor
-// flavor in the package: the plain Monitor, the concurrent SafeWatcher
-// (a monitor plus its standing queries, behind a read-write lock) and the
-// stream-partitioned ShardedMonitor all satisfy it. It is the contract both servers bind against — the HTTP
-// server in internal/server and the binary TCP tier in internal/transport
-// — and the type to accept when a component only needs to feed and query a
-// monitor without caring how it is synchronized or distributed.
+// flavor: the plain Monitor, the concurrent SafeWatcher (a monitor plus
+// its standing queries, behind a read-write lock) and the router's
+// stream-partitioned coordinator in internal/cluster all satisfy it. It is
+// the contract both servers bind against — the HTTP server in
+// internal/server and the binary TCP tier in internal/transport — and the
+// type to accept when a component only needs to feed and query a monitor
+// without caring how it is synchronized or distributed.
 //
 // The surface has three parts: ingestion (Ingest, IngestAll, IngestBatch —
 // the guarded, error-returning paths; the historical panicking Append
@@ -60,9 +61,9 @@ type Interface interface {
 	Snapshot(w io.Writer) error
 }
 
-// Compile-time checks: every monitor flavor satisfies the unified surface.
+// Compile-time checks: both in-process monitor flavors satisfy the unified
+// surface.
 var (
 	_ Interface = (*Monitor)(nil)
-	_ Interface = (*ShardedMonitor)(nil)
 	_ Interface = (*SafeWatcher)(nil)
 )

@@ -141,13 +141,30 @@ type queryCase struct {
 	body   any
 }
 
+// e2eQueryCases covers every query class; correlation rounds run at every
+// level over several radii and lags, so the cross-shard screen is
+// exercised at each feature granularity and from tight to all-pairs
+// thresholds.
 func e2eQueryCases(q []float64) []queryCase {
-	return []queryCase{
+	cases := []queryCase{
 		{"pattern", http.MethodPost, "/pattern", map[string]any{"query": q, "radius": 12.0}},
 		{"nearest", http.MethodPost, "/nearest", map[string]any{"query": q, "k": 5}},
-		{"correlations", http.MethodGet, "/correlations?level=1&radius=4", nil},
-		{"lagged", http.MethodGet, "/correlations?level=1&radius=4&lag=8", nil},
 	}
+	for level := 0; level < e2eConfig().Levels; level++ {
+		for _, radius := range []float64{2, 4, 8} {
+			cases = append(cases, queryCase{
+				fmt.Sprintf("correlations level=%d radius=%g", level, radius), http.MethodGet,
+				fmt.Sprintf("/correlations?level=%d&radius=%g", level, radius), nil,
+			})
+		}
+		for _, lag := range []int{8, 32} {
+			cases = append(cases, queryCase{
+				fmt.Sprintf("lagged level=%d lag=%d", level, lag), http.MethodGet,
+				fmt.Sprintf("/correlations?level=%d&radius=4&lag=%d", level, lag), nil,
+			})
+		}
+	}
+	return cases
 }
 
 // TestClusterE2EByteParity is the tentpole gate: three backend servers
@@ -245,6 +262,7 @@ func TestClusterE2EByteParity(t *testing.T) {
 	q := make([]float64, 48)
 	copy(q, data[4][300:348])
 
+	crossPairs := 0
 	for _, qc := range e2eQueryCases(q) {
 		gotStatus, got := doRequest(t, qc.method, router.URL+qc.path, qc.body)
 		wantStatus, want := doRequest(t, qc.method, reference.URL+qc.path, qc.body)
@@ -257,6 +275,22 @@ func TestClusterE2EByteParity(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: response bytes differ\nrouter:    %s\nreference: %s", qc.name, got, want)
 		}
+		var verified struct {
+			Pairs []stardust.CorrPair `json:"pairs"`
+		}
+		if err := json.Unmarshal(want, &verified); err != nil {
+			t.Fatalf("%s: %v", qc.name, err)
+		}
+		for _, p := range verified.Pairs {
+			if cl.Owner(p.A) != cl.Owner(p.B) {
+				crossPairs++
+			}
+		}
+	}
+	// Parity means little for the cross-shard phase unless the reference
+	// verified some pair whose streams live on different shards.
+	if crossPairs == 0 {
+		t.Fatal("no verified reference pair spans two shards; the cross-shard merge went unchecked")
 	}
 
 	// Query rejections propagate as rejections, not shard failures: a bad

@@ -2,13 +2,12 @@
 // partitions streams across N backend stardust-server processes with a
 // consistent-hash ring and presents the whole fleet as one
 // stardust.Interface — ingest forwards to the owning shard over the client
-// package, queries scatter to every shard and gather through the same
-// screen-then-verify merge ShardedMonitor runs in-process. The paper's
-// framework (Section 3) never depends on streams sharing an address space —
-// features and raw windows are all the merge needs — so the cluster
-// promotes ShardedMonitor's cross-shard logic behind network RPCs without
-// changing any result: e2e tests pin router answers byte-identical to a
-// single monitor ingesting the same samples.
+// package, queries scatter to every shard and gather through a
+// screen-then-verify merge (query.go). The paper's framework (Section 3)
+// never depends on streams sharing an address space — features and raw
+// windows are all the merge needs — so the cross-shard screen runs behind
+// network RPCs without changing any result: e2e tests pin router answers
+// byte-identical to a single monitor ingesting the same samples.
 package cluster
 
 import (

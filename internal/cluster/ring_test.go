@@ -48,6 +48,37 @@ func TestRingValidation(t *testing.T) {
 	}
 }
 
+// TestClusterNewValidation: a coordinator needs a positive stream count
+// and at least one named shard with an HTTP address; a valid fleet
+// reports the configured stream width. New dials nothing, so the
+// addresses need not be live.
+func TestClusterNewValidation(t *testing.T) {
+	shard := ShardConfig{Name: "a", HTTP: "http://127.0.0.1:1"}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero streams", Config{Shards: []ShardConfig{shard}}},
+		{"no shards", Config{Streams: 4}},
+		{"nameless shard", Config{Streams: 4, Shards: []ShardConfig{{HTTP: shard.HTTP}}}},
+		{"shard without HTTP", Config{Streams: 4, Shards: []ShardConfig{{Name: "a"}}}},
+		{"duplicate shard", Config{Streams: 4, Shards: []ShardConfig{shard, shard}}},
+	} {
+		if c, err := New(tc.cfg); err == nil {
+			c.Close()
+			t.Fatalf("%s: accepted", tc.name)
+		}
+	}
+	c, err := New(Config{Streams: 3, Shards: []ShardConfig{shard, {Name: "b", HTTP: shard.HTTP}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.NumStreams() != 3 {
+		t.Fatalf("NumStreams = %d, want 3", c.NumStreams())
+	}
+}
+
 // TestRingJoinMovement: when a member joins, the only keys that change
 // owner are the ones landing on the new member, and the moved fraction
 // stays near 1/(N+1) — the consistent-hashing contract that makes shard

@@ -76,9 +76,9 @@ func (s *Summary) NearestPatterns(q []float64, k int) ([]Match, error) {
 			verified = append(verified, Match{Stream: key.Stream, End: key.End, Dist: verdicts[i].dist})
 		}
 	}
-	// Ties break by (stream, end) so the ranking is a total order: merges
-	// of per-shard answers (ShardedMonitor, the cluster router) sort to
-	// exactly this sequence.
+	// Ties break by (stream, end) so the ranking is a total order: the
+	// cluster router's merge of per-shard answers sorts to exactly this
+	// sequence.
 	sort.Slice(verified, func(a, b int) bool {
 		if verified[a].Dist != verified[b].Dist {
 			return verified[a].Dist < verified[b].Dist

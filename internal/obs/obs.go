@@ -26,7 +26,8 @@ type Counter struct{ v atomic.Int64 }
 func (c *Counter) Inc() int64 { return c.v.Add(1) }
 
 // Add adds n and returns the new value (n must be non-negative to preserve
-// monotonicity).
+// monotonicity, except to back out an amount counted ahead of an effect
+// that then failed).
 func (c *Counter) Add(n int64) int64 { return c.v.Add(n) }
 
 // Load returns the current value.
@@ -515,7 +516,7 @@ type WALSnapshot struct {
 	Degraded, DroppedAppends, WriteRetries, Reattaches int64
 }
 
-// merge sums two WAL snapshots (sharded monitors present one surface).
+// merge sums two WAL snapshots (a cluster presents one surface).
 func (w WALSnapshot) merge(o WALSnapshot) WALSnapshot {
 	replay := w.ReplayNanos
 	if o.ReplayNanos > replay {
@@ -614,7 +615,8 @@ type Snapshot struct {
 }
 
 // Merge returns the element-wise sum of two snapshots (histograms merge
-// bucket-wise). Used by sharded monitors to present one metrics surface.
+// bucket-wise). The cluster coordinator uses it to present its shards as
+// one metrics surface.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
 	workers := s.Parallel.Workers
 	if o.Parallel.Workers > workers {

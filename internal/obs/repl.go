@@ -98,7 +98,7 @@ type ReplSnapshot struct {
 }
 
 // merge sums counters and takes the maximum of gauges — the conservative
-// combination when sharded monitors present one metrics surface (in
+// combination when a cluster of shards presents one metrics surface (in
 // practice at most one side of a merge carries replication state).
 func (r ReplSnapshot) merge(o ReplSnapshot) ReplSnapshot {
 	maxOf := func(a, b int64) int64 {

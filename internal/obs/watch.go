@@ -42,7 +42,7 @@ type WatchSnapshot struct {
 	EvaluateNanos HistogramSnapshot
 }
 
-// merge sums the two sides (sharded monitors present one surface).
+// merge sums the two sides (a cluster presents one surface).
 func (w WatchSnapshot) merge(o WatchSnapshot) WatchSnapshot {
 	return WatchSnapshot{
 		ActiveAggregate:   w.ActiveAggregate + o.ActiveAggregate,

@@ -1,7 +1,7 @@
 // Package server exposes a Monitor over HTTP: JSON ingestion and the three
 // query classes, plus introspection and durable snapshots. Its backend is
-// concurrency-safe (a SafeWatcher, or a ShardedMonitor), so ingestion and
-// queries may arrive concurrently.
+// concurrency-safe (a SafeWatcher, or the router's cluster coordinator),
+// so ingestion and queries may arrive concurrently.
 //
 // Endpoints:
 //
@@ -122,8 +122,8 @@ func WithSnapshotPath(path string) Option {
 // the backend. A *stardust.SafeWatcher (the usual backend) also gets the
 // standing-query surface: the server claims its event sink, triggered
 // events accumulate in a bounded buffer served by GET /events, and POST
-// /watch registers new watches. Other backends — a ShardedMonitor, or
-// the router's cluster coordinator — answer those two endpoints with 501.
+// /watch registers new watches. Any other backend, such as the router's
+// cluster coordinator, answers those two endpoints with 501.
 func New(mon stardust.Interface, opts ...Option) *Server {
 	s := &Server{mon: mon, mux: http.NewServeMux()}
 	if sw, ok := mon.(*stardust.SafeWatcher); ok {

@@ -438,15 +438,15 @@ func TestWatcherBackedServer(t *testing.T) {
 }
 
 // TestWatchEndpointsDisabledOnPlainServer: only a SafeWatcher backend
-// evaluates standing queries; any other backend (here a ShardedMonitor,
-// as for the router's cluster coordinator) answers the watch surface
-// with 501.
+// evaluates standing queries; any other backend (here a bare Monitor, as
+// for the router's cluster coordinator) answers the watch surface with
+// 501.
 func TestWatchEndpointsDisabledOnPlainServer(t *testing.T) {
-	sm, err := stardust.NewSharded(stardust.Config{Streams: 3, W: 8, Levels: 4, Transform: stardust.Sum, BoxCapacity: 4}, 1)
+	mon, err := stardust.New(stardust.Config{Streams: 3, W: 8, Levels: 4, Transform: stardust.Sum, BoxCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(sm))
+	ts := httptest.NewServer(New(mon))
 	t.Cleanup(ts.Close)
 	resp, _ := postJSON(t, ts.URL+"/watch", map[string]any{"type": "aggregate"})
 	if resp.StatusCode != http.StatusNotImplemented {

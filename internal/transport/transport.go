@@ -215,16 +215,22 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, s.cfg.WriteBuffer)
 	var out []byte // reusable response scratch
 
+	// send counts the frame before any of its bytes can reach the peer, so
+	// a client that has read a reply never observes it uncounted; a write
+	// or flush error backs the count out again.
 	send := func(frame []byte) bool {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if _, err := bw.Write(frame); err != nil {
-			return false
-		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
 		m.FramesOut.Inc()
 		m.BytesOut.Add(int64(len(frame)))
+		_, err := bw.Write(frame)
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			m.FramesOut.Add(-1)
+			m.BytesOut.Add(-int64(len(frame)))
+			return false
+		}
 		return true
 	}
 	// protoNack reports a connection-fatal protocol violation: one nack,

@@ -1,10 +1,8 @@
 package stardust
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -198,196 +196,6 @@ func TestSafeWatcherEventSink(t *testing.T) {
 		if e.WatchID != id {
 			t.Fatalf("event for unknown watch: %+v", e)
 		}
-	}
-}
-
-// shardedPair builds a sharded and a single monitor over the same config
-// and feeds both the same data.
-func shardedPair(t *testing.T, cfg Config, shards, n int, seed int64) (*ShardedMonitor, *Monitor, [][]float64) {
-	t.Helper()
-	sm, err := NewSharded(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	data := gen.RandomWalks(rng, cfg.Streams, n)
-	for i := 0; i < n; i++ {
-		for s := 0; s < cfg.Streams; s++ {
-			if err := sm.Ingest(s, data[s][i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := single.Ingest(s, data[s][i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return sm, single, data
-}
-
-// TestShardedCorrelationsParity: the cross-shard merge must recover the
-// verified pairs a single monitor reports on the same NormZ workload.
-func TestShardedCorrelationsParity(t *testing.T) {
-	cfg := Config{
-		Streams: 6, W: 16, Levels: 3, Transform: DWT, Mode: Batch,
-		Coefficients: 4, Normalization: NormZ, History: 512,
-	}
-	sm, single, _ := shardedPair(t, cfg, 3, 400, 99)
-
-	const r = 4.0
-	want, err := single.Correlations(1, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sm.Correlations(1, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := func(p CorrPair) [3]int64 { return [3]int64{int64(p.A), int64(p.B), p.TimeB} }
-	wantKeys := make(map[[3]int64]float64, len(want.Pairs))
-	for _, p := range want.Pairs {
-		wantKeys[key(p)] = p.Dist
-	}
-	gotKeys := make(map[[3]int64]float64, len(got.Pairs))
-	for _, p := range got.Pairs {
-		gotKeys[key(p)] = p.Dist
-	}
-	for k, d := range wantKeys {
-		gd, ok := gotKeys[k]
-		if !ok {
-			t.Errorf("sharded missed verified pair %v", k)
-			continue
-		}
-		if math.Abs(gd-d) > 1e-9 {
-			t.Errorf("pair %v dist %g != %g", k, gd, d)
-		}
-	}
-	for k := range gotKeys {
-		if _, ok := wantKeys[k]; !ok {
-			t.Errorf("sharded reported extra pair %v", k)
-		}
-	}
-	// Screening may differ slightly across shard boundaries but must never
-	// drop below the verified set.
-	if int64(len(got.Candidates)) < int64(len(got.Pairs)) {
-		t.Fatalf("candidates %d < verified %d", len(got.Candidates), len(got.Pairs))
-	}
-}
-
-// TestShardedNearestPatternsParity: global k-NN over shards matches the
-// single-monitor ranking.
-func TestShardedNearestPatternsParity(t *testing.T) {
-	cfg := Config{
-		Streams: 6, W: 16, Levels: 3, Transform: DWT, Mode: Batch,
-		Coefficients: 4, Normalization: NormUnit, Rmax: 150, History: 512,
-	}
-	sm, single, data := shardedPair(t, cfg, 3, 400, 13)
-	q := make([]float64, 48)
-	copy(q, data[4][300:348])
-
-	const k = 5
-	want, err := single.NearestPatterns(q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sm.NearestPatterns(q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d matches, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-			t.Fatalf("match %d dist %g != %g", i, got[i].Dist, want[i].Dist)
-		}
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Dist < got[j].Dist }) {
-		t.Fatal("sharded matches not sorted by distance")
-	}
-}
-
-// TestShardedAggregateBound: bounds route to the owning shard.
-func TestShardedAggregateBound(t *testing.T) {
-	cfg := Config{Streams: 5, W: 8, Levels: 3, Transform: Sum, BoxCapacity: 2}
-	sm, single, _ := shardedPair(t, cfg, 2, 200, 7)
-	for s := 0; s < cfg.Streams; s++ {
-		want, err := single.AggregateBound(s, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sm.AggregateBound(s, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("stream %d bound %+v != %+v", s, got, want)
-		}
-	}
-	if _, err := sm.AggregateBound(99, 16); err == nil {
-		t.Fatal("out-of-range stream should fail")
-	}
-}
-
-// TestShardedSnapshotRoundtrip: the SDSH container restores every shard
-// and preserves query behavior.
-func TestShardedSnapshotRoundtrip(t *testing.T) {
-	cfg := Config{Streams: 5, W: 8, Levels: 3, Transform: Sum, BoxCapacity: 2, History: 256}
-	sm, _, _ := shardedPair(t, cfg, 2, 200, 21)
-
-	var buf bytes.Buffer
-	if err := sm.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadSharded(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumStreams() != sm.NumStreams() || back.NumShards() != sm.NumShards() {
-		t.Fatalf("restored %d streams/%d shards, want %d/%d",
-			back.NumStreams(), back.NumShards(), sm.NumStreams(), sm.NumShards())
-	}
-	for s := 0; s < cfg.Streams; s++ {
-		if back.Now(s) != sm.Now(s) {
-			t.Fatalf("stream %d time %d != %d", s, back.Now(s), sm.Now(s))
-		}
-		want, err := sm.AggregateBound(s, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.AggregateBound(s, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("stream %d bound drift after restore: %+v != %+v", s, got, want)
-		}
-	}
-
-	if _, err := LoadSharded(bytes.NewReader(buf.Bytes()[:8])); err == nil {
-		t.Fatal("truncated container should fail")
-	}
-	corrupt := append([]byte(nil), buf.Bytes()...)
-	corrupt[0] = 'X'
-	if _, err := LoadSharded(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("bad magic should fail")
-	}
-}
-
-// TestShardedMetricsMerge: the sharded snapshot is the sum of the shard
-// snapshots.
-func TestShardedMetricsMerge(t *testing.T) {
-	cfg := Config{Streams: 4, W: 8, Levels: 3, Transform: Sum, BoxCapacity: 2}
-	sm, _, _ := shardedPair(t, cfg, 2, 300, 5)
-	snap := sm.Metrics()
-	if snap.Ingest.Samples != 4*300 {
-		t.Fatalf("merged samples = %d, want %d", snap.Ingest.Samples, 4*300)
-	}
-	if snap.Tree.Inserts == 0 {
-		t.Fatal("merged snapshot lost index counters")
 	}
 }
 

@@ -248,17 +248,13 @@ func TestIngestBatchWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plain, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	watcher := NewSafeWatcher(plain)
 
-	for _, b := range []Interface{safe, sharded, watcher} {
+	for _, b := range []Interface{safe, watcher} {
 		for s := 0; s < cfg.Streams; s++ {
 			if err := b.IngestBatch(s, vs); err != nil {
 				t.Fatalf("%T stream %d: %v", b, s, err)

@@ -137,18 +137,17 @@ func loadPayload(r io.Reader) (*Monitor, error) {
 	}, nil
 }
 
-// Snapshotter is anything that can serialize monitor state — Monitor,
-// SafeWatcher and ShardedMonitor all qualify.
+// Snapshotter is anything that can serialize monitor state — Monitor and
+// SafeWatcher both qualify.
 type Snapshotter interface {
 	Snapshot(w io.Writer) error
 }
 
 // Checkpointer is the durable-snapshot surface: Checkpoint persists state
 // to path crash-safely AND trims write-ahead-log segments the snapshot
-// fully covers. Monitor, SafeWatcher and ShardedMonitor all implement it
-// (trimming is a no-op without durability); the HTTP server's snapshot
-// paths prefer it over plain WriteSnapshotFile so auto-snapshots bound
-// WAL growth.
+// fully covers. Monitor and SafeWatcher implement it (trimming is a no-op
+// without durability); the HTTP server's snapshot paths prefer it over
+// plain WriteSnapshotFile so auto-snapshots bound WAL growth.
 type Checkpointer interface {
 	Checkpoint(path string) error
 }
@@ -156,7 +155,6 @@ type Checkpointer interface {
 // Compile-time checks: every monitor flavor checkpoints.
 var (
 	_ Checkpointer = (*Monitor)(nil)
-	_ Checkpointer = (*ShardedMonitor)(nil)
 	_ Checkpointer = (*SafeWatcher)(nil)
 )
 

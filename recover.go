@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
 
 	"stardust/internal/wal"
 )
@@ -81,70 +79,6 @@ func RecoverWatcher(cfg Config, snapshotPath string, register func(*SafeWatcher)
 	return sw, stats, nil
 }
 
-// RecoverSharded restores a durable sharded monitor: the SDSH snapshot is
-// loaded (or a fresh partition built from cfg and shards), then each
-// shard replays its own log from cfg.Durability.Dir/shard-NNNN. The shard
-// count of a durable deployment must stay fixed across restarts — the
-// per-shard directories are keyed by shard index.
-func RecoverSharded(cfg Config, shards int, snapshotPath string) (*ShardedMonitor, []ReplayStats, error) {
-	if cfg.Durability.Dir == "" {
-		return nil, nil, fmt.Errorf("stardust: RecoverSharded requires Config.Durability.Dir")
-	}
-	var sm *ShardedMonitor
-	if snapshotPath != "" {
-		s, err := LoadShardedFile(snapshotPath)
-		switch {
-		case err == nil:
-			for _, shard := range s.shards {
-				shard.w.mon.SetBadValuePolicy(cfg.BadValues)
-				shard.w.mon.SetParallelism(cfg.Parallel.Workers)
-			}
-			sm = s
-		case errors.Is(err, fs.ErrNotExist):
-		default:
-			return nil, nil, err
-		}
-	}
-	if sm == nil {
-		scfg := cfg
-		scfg.Durability = DurabilityConfig{} // logs attach below, after replay
-		s, err := NewSharded(scfg, shards)
-		if err != nil {
-			return nil, nil, err
-		}
-		sm = s
-	}
-	allStats := make([]ReplayStats, len(sm.shards))
-	for i, shard := range sm.shards {
-		d := cfg.Durability
-		d.Dir = shardWALDir(cfg.Durability.Dir, i)
-		m := shard.w.mon
-		log, err := openWAL(d, &m.metrics.WAL)
-		if err != nil {
-			sm.Close()
-			return nil, nil, fmt.Errorf("stardust: shard %d: %v", i, err)
-		}
-		stats, err := log.Replay(func(rec wal.Record) error {
-			shard.w.applyRecord(rec)
-			return nil
-		})
-		if err != nil {
-			log.Close()
-			sm.Close()
-			return nil, nil, fmt.Errorf("stardust: shard %d wal replay: %w", i, err)
-		}
-		m.wal = log
-		allStats[i] = stats
-	}
-	return sm, allStats, nil
-}
-
-// shardWALDir is the per-shard WAL directory layout shared by NewSharded
-// and RecoverSharded.
-func shardWALDir(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d", shard))
-}
-
 // loadOrNewMonitor restores from the snapshot when one exists, else builds
 // fresh from cfg — in both cases WITHOUT opening the WAL, and with cfg's
 // runtime settings (guard, worker pool) applied.
@@ -188,33 +122,4 @@ func (w *Watcher) applyRecord(rec wal.Record) []Event {
 	}
 	events, _ := w.apply(rec.Stream, vs, false)
 	return events
-}
-
-// LoadShardedFile restores a sharded monitor from a snapshot file written
-// by WriteSnapshotFile, with the same .bak fallback and fs.ErrNotExist
-// contract as LoadFile.
-func LoadShardedFile(path string) (*ShardedMonitor, error) {
-	sm, err := loadShardedPath(path)
-	if err == nil {
-		return sm, nil
-	}
-	if bm, berr := loadShardedPath(path + ".bak"); berr == nil {
-		return bm, nil
-	} else if errors.Is(err, fs.ErrNotExist) && !errors.Is(berr, fs.ErrNotExist) {
-		return nil, berr
-	}
-	return nil, err
-}
-
-func loadShardedPath(path string) (*ShardedMonitor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sm, err := LoadSharded(f)
-	if err != nil {
-		return nil, fmt.Errorf("loading %s: %w", path, err)
-	}
-	return sm, nil
 }

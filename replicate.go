@@ -80,7 +80,8 @@ func (s *SafeWatcher) ApplyWALRecord(rec WALRecord) error {
 // (bad-value guard, query parallelism) carry over, and registered
 // watches survive the swap — they hold only their parameters, not
 // monitor state. Monitor-level metrics restart from zero, exactly as
-// after LoadFile.
+// after LoadFile, except the active-watch gauges, which are re-derived
+// from the surviving watches.
 func (s *SafeWatcher) BootstrapReplica(r io.Reader) error {
 	m, err := Load(r)
 	if err != nil {
@@ -95,6 +96,14 @@ func (s *SafeWatcher) BootstrapReplica(r io.Reader) error {
 	m.guard = old.guard
 	m.SetParallelism(old.Parallelism())
 	s.w.mon = m
+	aggs := 0
+	for _, list := range s.w.aggs {
+		aggs += len(list)
+	}
+	wm := s.w.watchMetrics()
+	wm.ActiveAggregate.Set(int64(aggs))
+	wm.ActivePattern.Set(int64(len(s.w.patterns)))
+	wm.ActiveCorrelation.Set(int64(len(s.w.corrs)))
 	s.w.primeRecovery()
 	return nil
 }

@@ -1,6 +1,7 @@
 package stardust
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"stardust/internal/gen"
+	"stardust/internal/obs"
 )
 
 func newWatcher(t *testing.T, cfg Config) *Watcher {
@@ -493,5 +495,76 @@ func TestWatchCorrelationValidation(t *testing.T) {
 	}
 	if !w.Unwatch(id) {
 		t.Fatal("Unwatch failed to find the correlation watch")
+	}
+}
+
+// TestBootstrapReplicaKeepsWatchGauges: the installed watches survive a
+// replica bootstrap's monitor swap, and so must the active-watch gauges
+// that count them. Aggregate watches need a SUM summary and pattern and
+// correlation watches a DWT one, so the kinds are installed on two
+// followers.
+func TestBootstrapReplicaKeepsWatchGauges(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     Config
+		install func(*SafeWatcher) error
+	}{
+		{"aggregate", Config{Streams: 2, W: 8, Levels: 3, Transform: Sum}, func(sw *SafeWatcher) error {
+			_, err := sw.WatchAggregate(0, 8, 100, true)
+			return err
+		}},
+		{"pattern+correlation", Config{
+			Streams: 2, W: 8, Levels: 3, Transform: DWT, Mode: Batch,
+			Coefficients: 4, Normalization: NormZ, History: 256,
+		}, func(sw *SafeWatcher) error {
+			if _, err := sw.WatchPattern(make([]float64, 16), 1); err != nil {
+				return err
+			}
+			_, err := sw.WatchCorrelation(1, 2)
+			return err
+		}},
+	}
+	var aggs, patterns, corrs int64
+	for _, tc := range cases {
+		primary, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := gen.RandomWalks(rand.New(rand.NewSource(3)), tc.cfg.Streams, 64)
+		for s := range data {
+			if err := primary.IngestBatch(s, data[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var snap bytes.Buffer
+		if err := primary.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+
+		follower, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := NewSafeWatcher(follower)
+		if err := tc.install(sw); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before := sw.Metrics().Watch
+		if err := sw.BootstrapReplica(&snap); err != nil {
+			t.Fatal(err)
+		}
+		after := sw.Metrics().Watch
+		gauges := func(w obs.WatchSnapshot) [3]int64 {
+			return [3]int64{w.ActiveAggregate, w.ActivePattern, w.ActiveCorrelation}
+		}
+		if got, want := gauges(after), gauges(before); got != want {
+			t.Fatalf("%s: active gauges (aggregate, pattern, correlation) %v after bootstrap, want %v", tc.name, got, want)
+		}
+		aggs += after.ActiveAggregate
+		patterns += after.ActivePattern
+		corrs += after.ActiveCorrelation
+	}
+	if aggs != 1 || patterns != 1 || corrs != 1 {
+		t.Fatalf("active gauges after bootstrap: %d aggregate, %d pattern, %d correlation; want one of each", aggs, patterns, corrs)
 	}
 }
