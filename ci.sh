@@ -14,7 +14,9 @@
 # kill -9ed to exercise the degraded partial-result path), a spec e2e
 # smoke (two spec-loaded servers covering all three watch kinds across
 # two tenants: attributed events, per-tenant metrics, typed quota
-# rejections and an atomic live /specz reload), short fuzz
+# rejections and an atomic live /specz reload), a watch-engine smoke
+# (stardustbench's correlation-watch workload against a live server, its
+# correlation and pattern events checked by brute force), short fuzz
 # smokes over the WAL frame parser, the client wire-frame parser, the
 # snapshot loader, the fault-schedule parser, the consistent-hash ring
 # lookup, the monitor-spec parser and the DABA sliding-aggregate parity
@@ -255,6 +257,16 @@ spec_logs() {
 
 kill $SMOKE_PIDS 2>/dev/null || true
 SMOKE_PIDS=""
+stage_done
+
+# The standing-query engine on real processes: stardustbench's
+# correlation-watch workload drives a spec-loaded stardust-server over the
+# wire and requires the delivered correlation events to equal the
+# brute-force pair set (each once) and every pattern event's distance to
+# match its recomputation; any mismatch exits non-zero. run.sh builds into
+# .bench_build/ (offline) and removes a passing run's files.
+stage "watch engine smoke (stardustbench correlation-watch, brute-force checked)"
+bash stardustbench/run.sh --workload correlation-watch --seed 1 --seconds 2 --trace 0 >/dev/null
 stage_done
 
 stage "fuzz smoke (5s per target)"

@@ -46,68 +46,19 @@ func (r CorrelationResult) Precision() float64 {
 // governed by how much signal the f retained coefficients carry. Pairs are
 // reported once (A < B).
 func (s *Summary) CorrelationScreen(level int, r float64) ([]CorrPair, error) {
-	if s.cfg.Transform != TransformDWT {
-		return nil, fmt.Errorf("core: correlation query on a %v summary", s.cfg.Transform)
+	if err := s.checkCorrelationLevel(level); err != nil {
+		return nil, err
 	}
-	if level < 0 || level >= s.cfg.Levels {
-		return nil, fmt.Errorf("core: level %d out of range [0, %d)", level, s.cfg.Levels)
-	}
-	// Collect the still-unsealed (hence unindexed) trailing boxes once;
-	// they must be screened alongside the index so fresh features are not
-	// missed.
-	type pending struct {
-		box mbr.MBR
-		ref BoxRef
-	}
-	var unsealed []pending
-	for _, other := range s.streams {
-		sl := other.levels[level]
-		if len(sl.boxes) == 0 {
-			continue
-		}
-		lb := &sl.boxes[len(sl.boxes)-1]
-		if lb.indexed {
-			continue
-		}
-		unsealed = append(unsealed, pending{box: s.featureView(lb.box, level), ref: BoxRef{Stream: other.id, T1: lb.t1, T2: lb.t2}})
-	}
-	// (With the index disabled every latest box is unindexed, so this list
-	// covers all current features and synchronous screening degrades to a
-	// pairwise scan — older sealed boxes can never satisfy the synchronous
-	// time filter, so skipping them is safe.)
-
-	// Each stream's probe (one sphere query plus the unsealed scan) is
-	// independent, so the probes shard across the worker pool; per-stream
-	// results land in index-addressed slots and concatenate in stream
-	// order, matching the serial loop's output exactly.
+	tails := s.unindexedTails(level)
+	// Each stream's probe is independent, so the probes shard across the
+	// worker pool; per-stream results land in index-addressed slots and
+	// concatenate in stream order, matching the serial loop's output
+	// exactly. Each unordered pair is discovered from both endpoints'
+	// probes (the distance screen is symmetric); keeping only higher-id
+	// partners reports it exactly once without a dedup map.
 	perStream := make([][]CorrPair, len(s.streams))
 	s.forEach(len(s.streams), func(i int) {
-		st := s.streams[i]
-		box, _, t2, ok := st.levels[level].latest()
-		if !ok {
-			return
-		}
-		center := s.featureView(box, level).Center()
-		// Each unordered pair is discovered from both endpoints' range
-		// queries (the distance screen is symmetric); keeping only
-		// higher-id partners reports it exactly once without a dedup map.
-		consider := func(cb mbr.MBR, ref BoxRef) {
-			if ref.Stream <= st.id || ref.T2 != t2 {
-				return
-			}
-			perStream[i] = append(perStream[i], CorrPair{A: st.id, B: ref.Stream, TimeA: t2, TimeB: ref.T2})
-		}
-		s.trees[level].SearchSphere(center, r, func(cb mbr.MBR, ref BoxRef) bool {
-			consider(cb, ref)
-			return true
-		})
-		for k := range unsealed {
-			p := &unsealed[k]
-			if p.ref.Stream == st.id || p.box.MinDist2(center) > r*r {
-				continue
-			}
-			consider(p.box, p.ref)
-		}
+		perStream[i] = s.probeSynchronous(s.streams[i], level, r, tails, true)
 	})
 	var out []CorrPair
 	for _, ps := range perStream {
@@ -117,33 +68,141 @@ func (s *Summary) CorrelationScreen(level int, r float64) ([]CorrPair, error) {
 	return out, nil
 }
 
+// CorrelationProbe is one stream's share of a detection round, for a
+// standing correlation query evaluated as features arrive (the paper's
+// §5.3 model: the new feature probes the index, then joins it). It probes
+// with the stream's latest feature at level, keeps every other stream
+// whose feature ends at the same time, and returns the pairs verified on
+// raw history, each ordered A < B and sorted like CorrelationQuery's.
+// A pair is thus found by whichever of its two features arrives second.
+// When the latest feature ends at or before since, it was probed when it
+// arrived and nothing is returned.
+func (s *Summary) CorrelationProbe(stream, level int, r float64, since int64) ([]CorrPair, error) {
+	if err := s.checkCorrelationLevel(level); err != nil {
+		return nil, err
+	}
+	st := s.stream(stream)
+	if _, _, t2, ok := st.levels[level].latest(); !ok || t2 <= since {
+		return nil, nil
+	}
+	pairs := s.probeSynchronous(st, level, r, s.unindexedTails(level), false)
+	out := pairs[:0]
+	for _, p := range pairs {
+		if p.A > p.B {
+			p.A, p.B, p.TimeA, p.TimeB = p.B, p.A, p.TimeB, p.TimeA
+		}
+		if p, ok := s.verifyPair(level, p, r); ok {
+			out = append(out, p)
+		}
+	}
+	sortPairs(out)
+	return out, nil
+}
+
+// checkCorrelationLevel validates a correlation query against the summary.
+func (s *Summary) checkCorrelationLevel(level int) error {
+	if s.cfg.Transform != TransformDWT {
+		return fmt.Errorf("core: correlation query on a %v summary", s.cfg.Transform)
+	}
+	if level < 0 || level >= s.cfg.Levels {
+		return fmt.Errorf("core: level %d out of range [0, %d)", level, s.cfg.Levels)
+	}
+	return nil
+}
+
+// levelTail is a stream's latest box at a level while it is not in the
+// level index, with the reference it would be indexed under.
+type levelTail struct {
+	box mbr.MBR
+	ref BoxRef
+}
+
+// unindexedTails collects the still-unsealed (hence unindexed) trailing
+// boxes at a level; they must be screened alongside the index so fresh
+// features are not missed. With the index disabled every latest box is
+// unindexed, so this list covers all current features and synchronous
+// screening degrades to a pairwise scan — older sealed boxes can never
+// satisfy the synchronous time filter, so skipping them is safe.
+func (s *Summary) unindexedTails(level int) []levelTail {
+	var tails []levelTail
+	for _, other := range s.streams {
+		sl := other.levels[level]
+		if len(sl.boxes) == 0 {
+			continue
+		}
+		lb := &sl.boxes[len(sl.boxes)-1]
+		if lb.indexed {
+			continue
+		}
+		tails = append(tails, levelTail{box: s.featureView(lb.box, level), ref: BoxRef{Stream: other.id, T1: lb.t1, T2: lb.t2}})
+	}
+	return tails
+}
+
+// probeSynchronous is one stream's synchronous probe at level: a sphere
+// query of radius r around its latest feature box, against the level
+// index plus the unindexed tails, keeping the other streams whose box
+// ends at the same time (only higher ids with higherOnly). Pairs carry
+// the probing stream as A.
+func (s *Summary) probeSynchronous(st *streamState, level int, r float64, tails []levelTail, higherOnly bool) []CorrPair {
+	box, _, t2, ok := st.levels[level].latest()
+	if !ok {
+		return nil
+	}
+	center := s.featureView(box, level).Center()
+	var out []CorrPair
+	consider := func(ref BoxRef) {
+		if ref.Stream == st.id || (higherOnly && ref.Stream < st.id) || ref.T2 != t2 {
+			return
+		}
+		out = append(out, CorrPair{A: st.id, B: ref.Stream, TimeA: t2, TimeB: ref.T2})
+	}
+	s.trees[level].SearchSphere(center, r, func(_ mbr.MBR, ref BoxRef) bool {
+		consider(ref)
+		return true
+	})
+	for k := range tails {
+		p := &tails[k]
+		if p.ref.Stream == st.id || p.box.MinDist2(center) > r*r {
+			continue
+		}
+		consider(p.ref)
+	}
+	return out
+}
+
 // VerifyPairs computes the exact z-norm distance of each screened pair on
 // raw history and returns those truly within r, with Dist and Correlation
 // filled in. Verification of independent pairs fans across the worker
 // pool; survivors merge in input order. Intended to run outside any timed
 // detection path.
 func (s *Summary) VerifyPairs(level int, pairs []CorrPair, r float64) []CorrPair {
-	type verdict struct {
-		ok   bool
-		dist float64
-	}
-	verdicts := make([]verdict, len(pairs))
+	verified := make([]CorrPair, len(pairs))
+	ok := make([]bool, len(pairs))
 	s.forEach(len(pairs), func(i int) {
-		p := pairs[i]
-		dist, ok := s.verifyCorrelation(p.A, p.B, level, p.TimeA, p.TimeB)
-		verdicts[i] = verdict{ok: ok && dist <= r, dist: dist}
+		verified[i], ok[i] = s.verifyPair(level, pairs[i], r)
 	})
 	var out []CorrPair
-	for i, p := range pairs {
-		if !verdicts[i].ok {
-			continue
+	for i, p := range verified {
+		if ok[i] {
+			out = append(out, p)
 		}
-		p.Dist = verdicts[i].dist
-		p.Correlation = stats.CorrelationFromZDist(verdicts[i].dist)
-		out = append(out, p)
 	}
 	sortPairs(out)
 	return out
+}
+
+// verifyPair confirms one screened pair on raw history, filling in Dist
+// and Correlation; ok is false when it lies beyond r or its windows are
+// no longer retained.
+func (s *Summary) verifyPair(level int, p CorrPair, r float64) (CorrPair, bool) {
+	dist, ok := s.verifyCorrelation(p.A, p.B, level, p.TimeA, p.TimeB)
+	if !ok || dist > r {
+		return p, false
+	}
+	p.Dist = dist
+	p.Correlation = stats.CorrelationFromZDist(dist)
+	return p, true
 }
 
 // CorrelationQuery runs one screened + verified detection round: the

@@ -57,6 +57,55 @@ func TestCorrelationFindsPlantedPair(t *testing.T) {
 	}
 }
 
+// TestCorrelationProbeCompletesPairs: fed stream by stream, each stream's
+// probe at its fresh feature finds exactly the verified pairs it completes
+// with the streams already there, so the probes together give the round's
+// verified pairs, each once; a feature already probed is not probed again.
+func TestCorrelationProbeCompletesPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	const M, n, level, r = 12, 256, 2, 0.4
+	s := corrSummary(t, M, 16, 3, 4)
+	data := gen.CorrelatedWalks(rng, M, n, 4, 0.2)
+	rounds, pairs := 0, 0
+	for lo := 0; lo < n; lo += 16 {
+		var probed []CorrPair
+		for st := 0; st < M; st++ {
+			s.AppendBatch(st, data[st][lo:lo+16])
+			ps, err := s.CorrelationProbe(st, level, r, int64(lo-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range ps {
+				if p.B != st {
+					t.Fatalf("stream %d's probe reported %+v, which it does not complete", st, p)
+				}
+			}
+			probed = append(probed, ps...)
+			if again, _ := s.CorrelationProbe(st, level, r, int64(lo+15)); len(again) != 0 {
+				t.Fatalf("stream %d re-probed an already probed feature: %v", st, again)
+			}
+		}
+		res, err := s.CorrelationQuery(level, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortPairs(probed)
+		if len(probed) != len(res.Pairs) {
+			t.Fatalf("block at %d: probes found %v, round %v", lo, probed, res.Pairs)
+		}
+		for i := range probed {
+			if probed[i] != res.Pairs[i] {
+				t.Fatalf("block at %d: probes found %v, round %v", lo, probed, res.Pairs)
+			}
+		}
+		rounds++
+		pairs += len(probed)
+	}
+	if pairs == 0 {
+		t.Fatalf("no correlated pairs in %d rounds; the test exercises nothing", rounds)
+	}
+}
+
 // TestCorrelationMatchesScan: verified pairs must equal the linear-scan
 // ground truth at the feature time, and candidates must be a superset
 // (screening soundness: the f-coefficient DWT feature distance

@@ -18,11 +18,8 @@ import (
 // summary must be configured with IndexHorizon ≥ maxLag plus one update
 // period.
 func (s *Summary) CorrelationScreenLagged(level int, r float64, maxLag int) ([]CorrPair, error) {
-	if s.cfg.Transform != TransformDWT {
-		return nil, fmt.Errorf("core: correlation query on a %v summary", s.cfg.Transform)
-	}
-	if level < 0 || level >= s.cfg.Levels {
-		return nil, fmt.Errorf("core: level %d out of range [0, %d)", level, s.cfg.Levels)
+	if err := s.checkCorrelationLevel(level); err != nil {
+		return nil, err
 	}
 	if maxLag < 0 {
 		return nil, fmt.Errorf("core: negative lag %d", maxLag)
@@ -30,22 +27,7 @@ func (s *Summary) CorrelationScreenLagged(level int, r float64, maxLag int) ([]C
 	tj := int64(s.cfg.Rate(level))
 
 	// Unsealed trailing boxes, collected once (see CorrelationScreen).
-	type pending struct {
-		box mbr.MBR
-		ref BoxRef
-	}
-	var unsealed []pending
-	for _, other := range s.streams {
-		sl := other.levels[level]
-		if len(sl.boxes) == 0 {
-			continue
-		}
-		lb := &sl.boxes[len(sl.boxes)-1]
-		if lb.indexed {
-			continue
-		}
-		unsealed = append(unsealed, pending{box: s.featureView(lb.box, level), ref: BoxRef{Stream: other.id, T1: lb.t1, T2: lb.t2}})
-	}
+	unsealed := s.unindexedTails(level)
 
 	// Per-stream probes are independent and shard across the worker pool.
 	// Every reported pair carries A = probing stream id, so the dedup map

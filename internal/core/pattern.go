@@ -395,19 +395,41 @@ func (s *Summary) PatternQueryBatchAt(q []float64, r float64, j int) (PatternRes
 // normalized distance to the query is within r.
 func (s *Summary) ScanPatternMatches(q []float64, r float64) []Match {
 	var out []Match
-	qlen := int64(len(q))
 	for _, st := range s.streams {
-		lo := st.hist.OldestTime() + qlen - 1
-		if lo < qlen-1 {
-			lo = qlen - 1
+		out = append(out, s.MatchesEnding(st.id, q, r, 0, st.hist.Now())...)
+	}
+	return out
+}
+
+// MatchesEnding verifies on raw history every alignment of the stream
+// whose window ends in [lo, hi], and returns those within r of the query
+// in end order. Alignments whose window is not (or no longer) wholly
+// retained are skipped. A standing pattern query calls it with the
+// alignments completed since its previous evaluation, so each alignment
+// is examined exactly once, on the arrival that completes it.
+func (s *Summary) MatchesEnding(stream int, q []float64, r float64, lo, hi int64) []Match {
+	st := s.stream(stream)
+	qlen := int64(len(q))
+	if first := st.hist.OldestTime() + qlen - 1; lo < first {
+		lo = first
+	}
+	if now := st.hist.Now(); hi > now {
+		hi = now
+	}
+	if lo > hi {
+		return nil
+	}
+	nq := s.normalize(q)
+	var out []Match
+	for end := lo; end <= hi; end++ {
+		raw, err := st.hist.Range(end-qlen+1, end)
+		if err != nil {
+			continue
 		}
-		for end := lo; end <= st.hist.Now(); end++ {
-			if dist, ok := s.verifyMatch(st.id, end, q); ok && dist <= r {
-				out = append(out, Match{Stream: st.id, End: end, Dist: dist})
-			}
+		if dist := stats.Euclidean(nq, s.normalize(raw)); dist <= r {
+			out = append(out, Match{Stream: stream, End: end, Dist: dist})
 		}
 	}
-	sortMatches(out)
 	return out
 }
 

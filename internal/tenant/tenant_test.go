@@ -2,11 +2,14 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"stardust"
+	"stardust/internal/gen"
 	"stardust/internal/obs"
 	"stardust/internal/spec"
 )
@@ -370,6 +373,57 @@ func TestConcurrentIngestAndReload(t *testing.T) {
 	}
 	if got := f.w.Metrics().Watch.ActiveAggregate; got != 0 {
 		t.Fatalf("%d watches leaked", got)
+	}
+}
+
+// TestReloadUnchangedSpecDoesNotRedeliver: reloading a spec swaps in
+// fresh pattern and correlation watches under the same names. They report
+// only results completed by arrivals after the swap, so no (watch, kind,
+// streams, time) event is delivered twice across any number of reloads.
+func TestReloadUnchangedSpecDoesNotRedeliver(t *testing.T) {
+	const streams, w, n = 8, 16, 512
+	m, err := stardust.New(stardust.Config{Streams: streams, W: w, Levels: 3, Transform: stardust.DWT,
+		Mode: stardust.Batch, Coefficients: 4, Normalization: stardust.NormZ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := stardust.NewSafeWatcher(m)
+	reg := New(sw, obs.NewTenantMetrics(), (&fakeClock{t: time.Unix(1000, 0)}).now)
+	data := gen.CorrelatedWalks(rand.New(rand.NewSource(3)), streams, n, 4, 0.2)
+	var q []string
+	for _, v := range data[2][200:248] {
+		q = append(q, fmt.Sprintf("%.6f", v))
+	}
+	src := fmt.Sprintf("let q = [%s];\nwatch shape pattern query q radius 0.5;\nwatch pairs correlation level 2 radius 0.2;\n",
+		strings.Join(q, ", "))
+	delivered := make(map[string]int)
+	sw.SetEventSink(func(evs []stardust.Event) {
+		for _, e := range evs {
+			note := reg.Annotate(e)
+			delivered[fmt.Sprintf("%s %v %d-%d %d-%d", note.Watch, e.Kind, e.Stream, e.StreamB, e.Time, e.TimeB)]++
+		}
+	})
+	for lo := 0; lo < n; lo += w {
+		if lo%(4*w) == 0 {
+			if err := reg.Load("u", src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for s := 0; s < streams; s++ {
+			if err := sw.IngestBatch(s, data[s][lo:lo+w]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	kinds := make(map[string]bool)
+	for key, count := range delivered {
+		kinds[strings.Fields(key)[0]] = true
+		if count > 1 {
+			t.Errorf("event %s delivered %d times", key, count)
+		}
+	}
+	if !kinds["shape"] || !kinds["pairs"] {
+		t.Fatalf("watches fired %v; the test needs both kinds", kinds)
 	}
 }
 

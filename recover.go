@@ -43,7 +43,7 @@ func Recover(cfg Config, snapshotPath string) (*Monitor, ReplayStats, error) {
 // evaluations must be reconstructed from the restored summary), and,
 // when cfg.Durability.Dir is set, the WAL tail is replayed through
 // standing-query evaluation with events suppressed, re-deriving each
-// watch's edge and dedup state, before the log is attached. Alarms that
+// aggregate watch's edge state, before the log is attached. Alarms that
 // fired before the crash are therefore NOT fired again — after recovery
 // the watcher behaves exactly as if ingestion had never been
 // interrupted. Without a WAL directory only the snapshot is restored

@@ -74,7 +74,7 @@ func (s *SafeWatcher) ApplyWALRecord(rec WALRecord) error {
 // BootstrapReplica replaces the watched monitor's state from a snapshot
 // stream — a follower (re-)bootstrapping from its primary's
 // /repl/snapshot — and re-primes every standing query against it
-// (primeRecovery's edge and dedup reconstruction), so alarms the
+// (primeRecovery's edge reconstruction), so alarms the
 // snapshot state already reflects are not re-fired. The snapshot is
 // loaded outside the lock; the previous monitor's runtime settings
 // (bad-value guard, query parallelism) carry over, and registered

@@ -558,6 +558,21 @@ func (m *Monitor) FindPattern(q []float64, r float64) (PatternResult, error) {
 	return res, err
 }
 
+// checkPatternQuery returns the error FindPattern would give a query of
+// length n in the monitor's mode, without running one.
+func (m *Monitor) checkPatternQuery(n int) error {
+	if m.mode == Batch {
+		_, err := m.sum.MaxBatchLevel(n)
+		return err
+	}
+	cfg := m.sum.Config()
+	if cfg.Transform != DWT {
+		return fmt.Errorf("pattern query on a %v summary", cfg.Transform)
+	}
+	_, err := cfg.DecomposeWindow(n)
+	return err
+}
+
 // Correlations reports stream pairs whose current windows at the given
 // resolution level are within z-norm distance r (correlation ≥ 1 − r²/2),
 // screened by the level index and verified on raw history.

@@ -138,42 +138,19 @@ func (a *aggWatch) reseed(hist *window.History) {
 	}
 }
 
-// matchKey identifies a reported pattern match for deduplication.
-type matchKey struct {
-	stream int
-	end    int64
-}
-
 // patternWatch is a standing pattern query from the paper's Section 2.3
 // model: a pattern database continuously monitored over the streams.
 type patternWatch struct {
 	id     int
 	query  []float64
 	radius float64
-	every  int64 // evaluation period (defaults to W)
-	// seen dedups reported matches. It is bounded: a key is kept only
-	// while its match window is still inside retained history (older
-	// matches can never be re-reported, so their keys are pruned).
-	seen map[matchKey]bool
 }
 
-// pairKey identifies a reported correlation pair for deduplication.
-type pairKey struct {
-	a, b         int
-	timeA, timeB int64
-}
-
-// corrWatch is a standing correlation query: every evaluation tick runs
-// one detection round at the level and reports pairs not seen before.
+// corrWatch is a standing correlation query at one resolution level.
 type corrWatch struct {
 	id     int
 	level  int
 	radius float64
-	every  int64
-	// seen dedups reported pairs, bounded like patternWatch.seen: keys
-	// older than the level window cannot recur (rounds only report pairs
-	// at the current feature times) and are pruned.
-	seen map[pairKey]bool
 }
 
 // Watcher evaluates standing queries as values arrive — the paper's
@@ -181,6 +158,16 @@ type corrWatch struct {
 // then feed values through Push instead of Monitor.Append; each Push
 // returns the events it triggered. The Watcher owns the Monitor's
 // ingestion; do not interleave direct Appends.
+//
+// Evaluation is incremental (the paper's §5.3 model): an arrival touches
+// only its own stream. Aggregate watches check every arrival; pattern and
+// correlation watches run at the stream's evaluation ticks, every W
+// arrivals, over the alignments and the feature that arrived since the
+// stream's previous tick. Each result is therefore examined once, on the
+// arrival that completes it, and no dedup state is kept. A watch reports
+// results completed by arrivals from its first tick after install; it
+// does not backfill retained history. This work is not counted as ad hoc
+// queries in the monitor's query metrics.
 type Watcher struct {
 	mon    *Monitor
 	nextID int
@@ -246,9 +233,12 @@ func (w *Watcher) WatchAggregate(stream, win int, threshold float64, edgeTrigger
 
 // WatchPattern registers a standing pattern query over ALL streams: new
 // matches (subsequences within radius of the pattern) are reported as they
-// complete. The pattern is evaluated every W arrivals per stream (or every
-// arrival for Online monitors with W=1 evaluation is too costly — the
-// evaluation period is W in all modes).
+// complete. At each of a stream's evaluation ticks (every W arrivals, in
+// all modes) the alignments of that stream ending since its previous
+// tick are verified on raw history, so every match is reported exactly
+// once, with no false dismissals. Matches that completed before the
+// watch's first tick are not reported. The query must have a shape
+// FindPattern accepts in the monitor's mode.
 func (w *Watcher) WatchPattern(query []float64, radius float64) (int, error) {
 	if len(query) == 0 {
 		return 0, fmt.Errorf("stardust: %w: pattern watch needs a non-empty query", ErrBadWatch)
@@ -261,19 +251,13 @@ func (w *Watcher) WatchPattern(query []float64, radius float64) (int, error) {
 			return 0, fmt.Errorf("stardust: %w: pattern query[%d] is not finite (%v)", ErrBadWatch, i, v)
 		}
 	}
-	// Validate the query shape against the monitor's mode now rather than
-	// at the first evaluation.
-	if _, err := w.mon.FindPattern(query, radius); err != nil {
+	if err := w.mon.checkPatternQuery(len(query)); err != nil {
 		return 0, fmt.Errorf("stardust: %w: %v", ErrBadWatch, err)
 	}
 	id := w.nextID
 	w.nextID++
 	q := append([]float64(nil), query...)
-	w.patterns = append(w.patterns, &patternWatch{
-		id: id, query: q, radius: radius,
-		every: int64(w.mon.Summary().Config().W),
-		seen:  make(map[matchKey]bool),
-	})
+	w.patterns = append(w.patterns, &patternWatch{id: id, query: q, radius: radius})
 	wm := w.watchMetrics()
 	wm.ActivePattern.Add(1)
 	wm.Installs.Inc()
@@ -281,28 +265,27 @@ func (w *Watcher) WatchPattern(query []float64, radius float64) (int, error) {
 }
 
 // WatchCorrelation registers a standing correlation query at a resolution
-// level: every W arrivals a detection round runs (Correlations) and pairs
-// not already reported are emitted as EventCorrelation events, Stream and
-// StreamB carrying the pair and Value its correlation coefficient.
+// level. At each of a stream's evaluation ticks (every W arrivals) its
+// fresh level feature probes the level index for streams whose feature
+// ends at the same time, and the pairs verified on raw history are
+// emitted as EventCorrelation events: Stream < StreamB carry the pair and
+// Value its correlation coefficient. A pair is reported once, when the
+// second of its two features arrives; pairs completed before the watch's
+// first tick are not reported.
 func (w *Watcher) WatchCorrelation(level int, radius float64) (int, error) {
 	if !(radius > 0) { // rejects zero, negatives and NaN in one comparison
 		return 0, fmt.Errorf("stardust: %w: correlation radius must be positive (got %v)", ErrBadWatch, radius)
 	}
-	if level < 0 {
-		return 0, fmt.Errorf("stardust: %w: correlation level must be non-negative (got %d)", ErrBadWatch, level)
+	cfg := w.mon.Summary().Config()
+	if cfg.Transform != DWT {
+		return 0, fmt.Errorf("stardust: %w: correlation watch on a %v summary", ErrBadWatch, cfg.Transform)
 	}
-	// Validate the level and monitor mode now rather than at the first
-	// evaluation tick.
-	if _, err := w.mon.Correlations(level, radius); err != nil {
-		return 0, fmt.Errorf("stardust: %w: %v", ErrBadWatch, err)
+	if level < 0 || level >= cfg.Levels {
+		return 0, fmt.Errorf("stardust: %w: correlation level %d out of range [0, %d)", ErrBadWatch, level, cfg.Levels)
 	}
 	id := w.nextID
 	w.nextID++
-	w.corrs = append(w.corrs, &corrWatch{
-		id: id, level: level, radius: radius,
-		every: int64(w.mon.Summary().Config().W),
-		seen:  make(map[pairKey]bool),
-	})
+	w.corrs = append(w.corrs, &corrWatch{id: id, level: level, radius: radius})
 	wm := w.watchMetrics()
 	wm.ActiveCorrelation.Add(1)
 	wm.Installs.Inc()
@@ -490,17 +473,15 @@ func (w *Watcher) evaluateInstrumented(stream int, t int64) ([]Event, error) {
 	return events, err
 }
 
-// primeRecovery re-derives the standing queries' edge and dedup state
-// from an already-restored summary. Snapshot restore skips WAL replay
-// for covered samples, so the per-sample evaluates that built this
-// state in the pre-crash process never ran; without priming, an alarm
-// that was firing across the crash would re-fire as a fresh edge and
-// old pattern matches would be re-reported. Aggregate firing flags
-// become the current alarm status (identical summary state ⇒ identical
-// alarm), and matches or pairs the pre-crash run had already delivered
-// — those complete by the last evaluation tick — are marked seen.
-// Results newer than the last tick are deliberately NOT marked: the
-// pre-crash run had not reported them yet, and the next tick will.
+// primeRecovery re-derives the aggregate watches' edge state from an
+// already-restored summary. Snapshot restore skips WAL replay for covered
+// samples, so the per-sample evaluates that built this state in the
+// pre-crash process never ran; without priming, an alarm that was firing
+// across the crash would re-fire as a fresh edge. Firing flags become the
+// current alarm status (identical summary state ⇒ identical alarm).
+// Pattern and correlation watches hold no state to re-derive: the next
+// tick examines only results completed after the restored clocks, which
+// the pre-crash run had not reported.
 func (w *Watcher) primeRecovery() {
 	for _, list := range w.aggs {
 		for _, a := range list {
@@ -516,47 +497,6 @@ func (w *Watcher) primeRecovery() {
 			}
 		}
 	}
-	for _, p := range w.patterns {
-		res, err := w.mon.FindPattern(p.query, p.radius)
-		if err != nil {
-			continue
-		}
-		for _, m := range res.Matches {
-			if m.End <= lastTick(w.mon.Now(m.Stream), p.every) {
-				p.seen[matchKey{stream: m.Stream, end: m.End}] = true
-			}
-		}
-	}
-	for _, c := range w.corrs {
-		// Feature times only advance at tick boundaries, so every pair
-		// visible now was already reported at the last round — if one ran.
-		ticked := false
-		for s := 0; s < w.mon.NumStreams(); s++ {
-			if lastTick(w.mon.Now(s), c.every) >= 0 {
-				ticked = true
-				break
-			}
-		}
-		if !ticked {
-			continue
-		}
-		res, err := w.mon.Correlations(c.level, c.radius)
-		if err != nil {
-			continue
-		}
-		for _, pr := range res.Pairs {
-			c.seen[pairKey{a: pr.A, b: pr.B, timeA: pr.TimeA, timeB: pr.TimeB}] = true
-		}
-	}
-}
-
-// lastTick is the most recent evaluation-tick time at or before stream
-// time now for period every, or -1 when no tick has occurred yet.
-func lastTick(now, every int64) int64 {
-	if now < every-1 {
-		return -1
-	}
-	return (now+1)/every*every - 1
 }
 
 // evaluate runs the standing queries affected by an arrival on stream at
@@ -596,77 +536,33 @@ func (w *Watcher) evaluate(stream int, t int64) ([]Event, error) {
 		}
 	}
 
+	if len(w.patterns) == 0 && len(w.corrs) == 0 {
+		return events, nil
+	}
+	sum := w.mon.Summary()
+	every := int64(sum.Config().W)
+	if (t+1)%every != 0 {
+		return events, nil
+	}
 	for _, p := range w.patterns {
-		if (t+1)%p.every != 0 || t < int64(len(p.query))-1 {
-			continue
-		}
-		res, err := w.mon.FindPattern(p.query, p.radius)
-		if err != nil {
-			return events, err
-		}
-		for _, m := range res.Matches {
-			key := matchKey{stream: m.Stream, end: m.End}
-			if p.seen[key] {
-				continue
-			}
-			p.seen[key] = true
+		for _, m := range sum.MatchesEnding(stream, p.query, p.radius, t-every+1, t) {
 			events = append(events, Event{
-				Kind: EventPattern, WatchID: p.id, Stream: m.Stream, Time: m.End, Value: m.Dist,
+				Kind: EventPattern, WatchID: p.id, Stream: stream, Time: m.End, Value: m.Dist,
 			})
 		}
-		w.prunePatternSeen(p)
 	}
-
 	for _, c := range w.corrs {
-		if (t+1)%c.every != 0 {
-			continue
-		}
-		res, err := w.mon.Correlations(c.level, c.radius)
+		pairs, err := sum.CorrelationProbe(stream, c.level, c.radius, t-every)
 		if err != nil {
 			return events, err
 		}
-		for _, pr := range res.Pairs {
-			key := pairKey{a: pr.A, b: pr.B, timeA: pr.TimeA, timeB: pr.TimeB}
-			if c.seen[key] {
-				continue
-			}
-			c.seen[key] = true
+		for _, pr := range pairs {
 			events = append(events, Event{
 				Kind: EventCorrelation, WatchID: c.id,
 				Stream: pr.A, StreamB: pr.B, Time: pr.TimeA, TimeB: pr.TimeB,
 				Value: pr.Correlation,
 			})
 		}
-		// Rounds only report pairs at the current feature times, so keys a
-		// level window behind the present cannot recur; dropping them keeps
-		// the dedup set proportional to the live pair population.
-		horizon := int64(w.mon.Summary().Config().LevelWindow(c.level))
-		for k := range c.seen {
-			if k.timeA < t-horizon {
-				delete(c.seen, k)
-			}
-		}
 	}
 	return events, nil
-}
-
-// prunePatternSeen drops dedup keys whose match window has left retained
-// history: FindPattern can only re-report a match whose whole window
-// [End−len(query)+1, End] is still verifiable against raw history, so
-// older keys can never be needed again. This bounds the seen set by the
-// number of reportable alignments instead of growing with total matches
-// over the stream's lifetime.
-func (w *Watcher) prunePatternSeen(p *patternWatch) {
-	q := int64(len(p.query))
-	oldest := make(map[int]int64, w.mon.NumStreams())
-	for k := range p.seen {
-		lo, ok := oldest[k.stream]
-		if !ok {
-			lo = w.mon.Summary().History(k.stream).OldestTime()
-			oldest[k.stream] = lo
-		}
-		if k.end < lo+q-1 {
-			delete(p.seen, k)
-		}
-	}
 }

@@ -394,13 +394,13 @@ func TestSafeWatcherAppendAllPartialEvents(t *testing.T) {
 	}
 }
 
-// TestWatchPatternSeenBounded: the pattern dedup set must not grow with
-// the lifetime of the stream. A constant stream matches a constant
-// pattern at every alignment, so without pruning the seen map would
-// accumulate one key per reported end forever; with pruning it stays
-// proportional to the retained-history alignments.
-func TestWatchPatternSeenBounded(t *testing.T) {
-	const hist = 128
+// TestWatchPatternReportsEachAlignmentOnce: a constant stream matches a
+// constant pattern at every alignment, so the watch must report every
+// alignment end exactly once, in order, over a run many times longer than
+// the retained history — each alignment is examined on the tick that
+// completes it, with no dedup state to grow or prune.
+func TestWatchPatternReportsEachAlignmentOnce(t *testing.T) {
+	const hist, n = 128, 2000
 	w := newWatcher(t, Config{
 		Streams: 1, W: 8, Levels: 3, Transform: DWT, Mode: Batch,
 		Coefficients: 4, History: hist,
@@ -412,21 +412,21 @@ func TestWatchPatternSeenBounded(t *testing.T) {
 	if _, err := w.WatchPattern(pattern, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	reported := 0
-	for i := 0; i < 2000; i++ {
+	want := int64(len(pattern) - 1)
+	for i := 0; i < n; i++ {
 		events, err := w.Push(0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reported += len(events)
+		for _, e := range events {
+			if e.Kind != EventPattern || e.Time != want {
+				t.Fatalf("event %+v, want a pattern match ending at %d", e, want)
+			}
+			want++
+		}
 	}
-	if reported < 200 {
-		t.Fatalf("only %d matches reported; stream/pattern do not exercise dedup", reported)
-	}
-	bound := hist + len(pattern)
-	if got := len(w.patterns[0].seen); got > bound {
-		t.Fatalf("seen map holds %d keys after %d reports, want <= %d (unbounded growth)",
-			got, reported, bound)
+	if want != n {
+		t.Fatalf("last reported end %d, want %d", want-1, n-1)
 	}
 }
 
@@ -475,6 +475,41 @@ func TestWatchCorrelationReportsPairsOnce(t *testing.T) {
 		if n > 1 {
 			t.Fatalf("pair %v reported %d times", k, n)
 		}
+	}
+}
+
+// TestWatchCorrelationStalledPairOnce: a pair whose two streams have both
+// stalled is delivered once, however long a third stream keeps ticking.
+// (A global-round evaluator re-reported it on every tick once its dedup
+// key fell behind the pruning horizon: 17 times over this run.)
+func TestWatchCorrelationStalledPairOnce(t *testing.T) {
+	w := newWatcher(t, Config{
+		Streams: 3, W: 16, Levels: 3, Transform: DWT, Mode: Batch,
+		Coefficients: 4, Normalization: NormZ,
+	})
+	if _, err := w.WatchCorrelation(2, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	data := gen.CorrelatedWalks(rand.New(rand.NewSource(5)), 3, 400, 2, 0.05)
+	delivered := 0
+	for i := 0; i < 400; i++ {
+		for s := 0; s < 3; s++ {
+			if i > 63 && s < 2 {
+				continue
+			}
+			events, err := w.Push(s, data[s][i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range events {
+				if e.Stream == 0 && e.StreamB == 1 && e.Time == 63 && e.TimeB == 63 {
+					delivered++
+				}
+			}
+		}
+	}
+	if delivered != 1 {
+		t.Fatalf("pair (0, 1, 63, 63) delivered %d times, want 1", delivered)
 	}
 }
 
