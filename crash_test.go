@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"stardust/internal/gen"
 )
 
 // TestCrashMatrix kills durable ingestion at random byte offsets in the
@@ -227,5 +229,98 @@ func TestCrashMatrixWatcherNoDuplicateEvents(t *testing.T) {
 					len(got), got, len(wantEvents), wantEvents)
 			}
 		})
+	}
+}
+
+// TestRecoverWatcherReplaySkipsFeatureWatches: WAL replay evaluates only
+// the aggregate watches, which have state to rebuild. A pattern and a
+// correlation watch are not evaluated during replay (their events would
+// be suppressed anyway), so the recovered index answers no search before
+// the first live arrival, and the recovered watcher still emits exactly
+// the events of an uninterrupted run.
+func TestRecoverWatcherReplaySkipsFeatureWatches(t *testing.T) {
+	const (
+		streams  = 6
+		arrivals = 384
+		crashAt  = 208
+	)
+	dir := t.TempDir()
+	cfg := Config{
+		Streams: streams, W: 16, Levels: 3, Transform: DWT, Mode: Batch,
+		Coefficients: 4, Normalization: NormZ, History: 256,
+		Durability: DurabilityConfig{Dir: filepath.Join(dir, "wal"), Fsync: FsyncNone},
+	}
+	series := gen.CorrelatedWalks(rand.New(rand.NewSource(401)), streams, arrivals, 3, 0.2)
+	query := append([]float64(nil), series[1][100:148]...)
+	register := func(w interface {
+		WatchPattern(query []float64, radius float64) (int, error)
+		WatchCorrelation(level int, radius float64) (int, error)
+	}) error {
+		if _, err := w.WatchPattern(query, 0.5); err != nil {
+			return err
+		}
+		_, err := w.WatchCorrelation(2, 0.3)
+		return err
+	}
+	push := func(w interface {
+		Push(stream int, v float64) ([]Event, error)
+	}, lo, hi int) []Event {
+		var out []Event
+		for i := lo; i < hi; i++ {
+			for s := 0; s < streams; s++ {
+				evs, err := w.Push(s, series[s][i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, evs...)
+			}
+		}
+		return out
+	}
+
+	refMon, err := New(withoutWAL(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewWatcher(refMon)
+	if err := register(ref); err != nil {
+		t.Fatal(err)
+	}
+	want := push(ref, 0, arrivals)
+	var pattern, corr bool
+	for _, e := range want {
+		pattern = pattern || e.Kind == EventPattern
+		corr = corr || e.Kind == EventCorrelation
+	}
+	if !pattern || !corr {
+		t.Fatalf("reference run lacks pattern (%v) or correlation (%v) events", pattern, corr)
+	}
+
+	liveMon, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewWatcher(liveMon)
+	if err := register(live); err != nil {
+		t.Fatal(err)
+	}
+	got := push(live, 0, crashAt)
+	// crash here: liveMon abandoned without Close
+
+	recovered, stats, err := RecoverWatcher(cfg, "", func(sw *SafeWatcher) error { return register(sw) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if stats.Samples != streams*crashAt {
+		t.Fatalf("replayed %d samples, want %d", stats.Samples, streams*crashAt)
+	}
+	if n := recovered.Metrics().Tree.Searches; n != 0 {
+		t.Fatalf("replay ran %d index searches", n)
+	}
+	got = append(got, push(recovered, crashAt, arrivals)...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("crash-recovery event stream diverged:\ngot  %d events %+v\nwant %d events %+v",
+			len(got), got, len(want), want)
 	}
 }

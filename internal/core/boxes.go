@@ -84,9 +84,11 @@ func (sl *streamLevel) lookupRef(t int64) (mbr.MBR, int64, int64, bool) {
 	return sl.boxes[i].box, sl.boxes[i].t1, sl.boxes[i].t2, true
 }
 
-// evict removes leading boxes whose newest feature is older than horizon,
-// returning the removed sealed boxes so the caller can delete them from the
-// level index.
+// evict removes leading boxes whose newest feature is older than horizon
+// and returns them so the caller can delete the sealed ones from the level
+// index. The result aliases the thread's former prefix rather than copying
+// it: appends only ever write past the retained suffix, so the prefix
+// stays intact and an eviction allocates nothing.
 func (sl *streamLevel) evict(horizon int64) []levelBox {
 	cut := 0
 	for cut < len(sl.boxes) && sl.boxes[cut].t2 < horizon {
@@ -95,8 +97,7 @@ func (sl *streamLevel) evict(horizon int64) []levelBox {
 	if cut == 0 {
 		return nil
 	}
-	removed := make([]levelBox, cut)
-	copy(removed, sl.boxes[:cut])
+	removed := sl.boxes[:cut:cut]
 	sl.boxes = sl.boxes[cut:]
 	sl.idxFront -= cut
 	if sl.idxFront < 0 {

@@ -160,27 +160,22 @@ type Config struct {
 	// features, so a horizon of one update period keeps the index at one
 	// entry per stream. Per-stream feature threads still retain HistoryN.
 	IndexHorizon int
-	// DisableIndex turns off the cross-stream R*-tree indexes entirely.
-	// Aggregate monitoring (Algorithm 2) never consults them — it reads
-	// the per-stream feature threads — so aggregate-only deployments save
-	// the insert/evict cost of every sealed box. Pattern queries and
-	// historical/lagged correlation screens need the index and will find
-	// nothing with it disabled; synchronous correlation screening still
-	// works (current features are screened directly) but degrades to a
-	// full pairwise scan.
-	DisableIndex bool
-	// IndexLevels restricts which resolution levels insert their sealed
-	// MBRs into the shared R*-tree index. Empty means every level (the
-	// default). Restricting to the levels a deployment actually queries
-	// (e.g. only the top level for correlation monitoring) removes the
-	// index-maintenance cost of the others; per-stream feature threads are
-	// kept at every level regardless, so aggregate queries still work.
+	// IndexLevels restricts which resolution levels of a DWT summary
+	// insert their sealed MBRs into the shared R*-tree index. Empty means
+	// every level (the default). Restricting to the levels a deployment
+	// actually queries (e.g. only the top level for correlation
+	// monitoring) removes the index-maintenance cost of the others;
+	// per-stream feature threads are kept at every level regardless.
+	// Aggregate summaries index no level at all (see indexLevel).
 	IndexLevels []int
 }
 
-// indexLevel reports whether level j's sealed boxes are indexed.
+// indexLevel reports whether level j's sealed boxes are indexed. Only DWT
+// summaries keep an index: pattern, correlation and k-NN queries search
+// it, while aggregate monitoring (Algorithm 2) reads the stream's own
+// feature thread, so an aggregate summary would only pay its upkeep.
 func (c Config) indexLevel(j int) bool {
-	if c.DisableIndex {
+	if c.Transform != TransformDWT {
 		return false
 	}
 	if len(c.IndexLevels) == 0 {

@@ -169,15 +169,23 @@ func TestIndexHorizonValidation(t *testing.T) {
 }
 
 // TestEvictionNeverBreaksQueries runs long enough for multiple full
-// turnovers of history and checks queries stay consistent throughout.
+// turnovers of history and checks queries stay consistent throughout: the
+// aggregate bound on a SUM summary, and the level indexes' invariants on a
+// DWT summary fed the same values (only DWT summaries keep an index).
 func TestEvictionNeverBreaksQueries(t *testing.T) {
 	cfg := Config{
 		W: 4, Levels: 3, Transform: TransformSum, BoxCapacity: 3, HistoryN: 64,
 	}
 	s := newSummary(t, cfg, 1)
+	idx := newSummary(t, Config{
+		W: 4, Levels: 3, Transform: TransformDWT, F: 2,
+		Normalization: NormZ, Rate: RateBatch(4), HistoryN: 64,
+	}, 1)
 	rng := rand.New(rand.NewSource(242))
 	for i := 0; i < 5000; i++ {
-		s.Append(0, rng.Float64()*10)
+		v := rng.Float64() * 10
+		s.Append(0, v)
+		idx.Append(0, v)
 		if i > 64 && i%13 == 0 {
 			bound, err := s.AggregateBound(0, 28)
 			if err != nil {
@@ -193,50 +201,77 @@ func TestEvictionNeverBreaksQueries(t *testing.T) {
 		}
 	}
 	for j := 0; j < 3; j++ {
-		if err := s.Tree(j).CheckInvariants(); err != nil {
+		if err := idx.Tree(j).CheckInvariants(); err != nil {
 			t.Fatalf("level %d after churn: %v", j, err)
 		}
-	}
-}
-
-// TestDisableIndexAggregates: with the index off, aggregate queries stay
-// exact and sound while no tree receives entries.
-func TestDisableIndexAggregates(t *testing.T) {
-	cfg := Config{
-		W: 5, Levels: 4, Transform: TransformSum, BoxCapacity: 3,
-		HistoryN: 256, DisableIndex: true,
-	}
-	s := newSummary(t, cfg, 1)
-	rng := rand.New(rand.NewSource(301))
-	for i := 0; i < 1000; i++ {
-		s.Append(0, rng.Float64()*10)
-		if i > 100 && i%17 == 0 {
-			bound, err := s.AggregateBound(0, 35)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact, _ := s.ExactAggregate(0, 35)
-			if !bound.Contains(exact) {
-				t.Fatalf("t=%d: exact %g outside %v", i, exact, bound)
-			}
-		}
-	}
-	for j := 0; j < 4; j++ {
-		if s.Tree(j).Len() != 0 {
-			t.Fatalf("level %d index has %d entries with DisableIndex", j, s.Tree(j).Len())
+		if idx.Tree(j).Len() == 0 {
+			t.Fatalf("level %d index is empty after churn", j)
 		}
 	}
 }
 
-// TestDisableIndexSynchronousCorrelation: current-window correlation
-// screening still works without the index (pairwise over latest boxes).
-func TestDisableIndexSynchronousCorrelation(t *testing.T) {
+// TestAggregateSummaryKeepsNoIndex: every aggregate transform answers
+// sound bounds through several history turnovers while no level index
+// receives an entry, and Stats reports every level as unindexed.
+func TestAggregateSummaryKeepsNoIndex(t *testing.T) {
+	for _, tr := range []Transform{TransformSum, TransformMax, TransformMin, TransformSpread} {
+		cfg := Config{
+			W: 5, Levels: 4, Transform: tr, BoxCapacity: 3,
+			HistoryN: 256, IndexHorizon: 64,
+		}
+		s := newSummary(t, cfg, 2)
+		rng := rand.New(rand.NewSource(301))
+		for i := 0; i < 1000; i++ {
+			for st := 0; st < 2; st++ {
+				s.Append(st, rng.Float64()*10)
+			}
+			if i > 100 && i%17 == 0 {
+				bound, err := s.AggregateBound(0, 35)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact, _ := s.ExactAggregate(0, 35)
+				if !bound.Contains(exact) {
+					t.Fatalf("%v t=%d: exact %g outside %v", tr, i, exact, bound)
+				}
+			}
+		}
+		for j, l := range s.Stats().Levels {
+			if s.Tree(j).Len() != 0 || l.IndexEntries != 0 || l.Indexed {
+				t.Fatalf("%v level %d: %d index entries, indexed %v", tr, j, s.Tree(j).Len(), l.Indexed)
+			}
+			if l.ThreadBoxes == 0 {
+				t.Fatalf("%v level %d: empty feature threads", tr, j)
+			}
+		}
+		for _, st := range s.streams {
+			for j, sl := range st.levels {
+				if sl.idxFront != 0 {
+					t.Fatalf("%v level %d: index front %d", tr, j, sl.idxFront)
+				}
+				for _, lb := range sl.boxes {
+					if lb.indexed {
+						t.Fatalf("%v level %d: box %d..%d marked indexed", tr, j, lb.t1, lb.t2)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnindexedLevelSynchronousCorrelation: current-window correlation
+// screening at a level left out of IndexLevels matches the indexed
+// screen (it falls back to pairwise over the latest boxes).
+func TestUnindexedLevelSynchronousCorrelation(t *testing.T) {
 	cfg := Config{
 		W: 16, Levels: 3, Transform: TransformDWT, F: 4,
 		Normalization: NormZ, Rate: RateBatch(16),
-		HistoryN: 128, DisableIndex: true,
+		HistoryN: 128, IndexLevels: []int{0},
 	}
 	s := newSummary(t, cfg, 6)
+	if s.Stats().Levels[2].Indexed {
+		t.Fatal("level 2 should not be indexed")
+	}
 	indexed := newSummary(t, Config{
 		W: 16, Levels: 3, Transform: TransformDWT, F: 4,
 		Normalization: NormZ, Rate: RateBatch(16), HistoryN: 128,
@@ -248,6 +283,9 @@ func TestDisableIndexSynchronousCorrelation(t *testing.T) {
 			s.Append(st, data[st][i])
 			indexed.Append(st, data[st][i])
 		}
+	}
+	if s.Tree(2).Len() != 0 || indexed.Tree(2).Len() == 0 {
+		t.Fatalf("level 2 index sizes %d (unindexed) and %d (indexed)", s.Tree(2).Len(), indexed.Tree(2).Len())
 	}
 	a, err := s.CorrelationScreen(2, 0.6)
 	if err != nil {

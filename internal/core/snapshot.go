@@ -13,7 +13,8 @@ import (
 // This file implements durable snapshots of a Summary: the full per-stream
 // state (raw history, level threads) plus the configuration, encoded with
 // encoding/gob. The per-level R*-trees are not serialized; they are rebuilt
-// from the indexed boxes on load, which is fast (bulk structure is
+// from the indexed boxes on load (DWT summaries only: an aggregate summary
+// keeps no index, see Config.indexLevel), which is fast (bulk structure is
 // irrelevant — the entries are identical) and keeps the format independent
 // of index internals. Function-typed configuration (the rate schedule) is
 // captured as the evaluated per-level rates, and the wavelet filter by
@@ -126,7 +127,11 @@ func (s *Summary) Snapshot(w io.Writer) error {
 }
 
 // LoadSummary reconstructs a summary from a Snapshot stream. The per-level
-// indexes are rebuilt from the boxes marked as indexed.
+// indexes are rebuilt from the boxes marked as indexed on the levels that
+// keep an index. On the others — every level of an aggregate summary — the
+// marks and the index front are cleared, so a snapshot written when
+// aggregate summaries were still indexed loads into exactly the state a
+// summary that never indexed would hold.
 func LoadSummary(r io.Reader) (*Summary, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -187,7 +192,10 @@ func LoadSummary(r io.Reader) (*Summary, error) {
 		}
 		for j, lvl := range ss.Levels {
 			sl := st.levels[j]
-			sl.idxFront = lvl.IdxFront
+			indexed := cfg.indexLevel(j)
+			if indexed {
+				sl.idxFront = lvl.IdxFront
+			}
 			for _, sb := range lvl.Boxes {
 				if len(sb.Min) != len(sb.Max) {
 					return nil, fmt.Errorf("core: stream %d level %d: corrupt box", i, j)
@@ -197,7 +205,7 @@ func LoadSummary(r io.Reader) (*Summary, error) {
 					t1:     sb.T1,
 					t2:     sb.T2,
 					count:  sb.Count,
-					sealed: sb.Sealed, indexed: sb.Indexed,
+					sealed: sb.Sealed, indexed: sb.Indexed && indexed,
 				}
 				sl.boxes = append(sl.boxes, lb)
 				if lb.indexed {

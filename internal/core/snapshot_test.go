@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -230,5 +231,125 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLoadIndexedAggregateSnapshot: a snapshot written when aggregate
+// summaries still indexed their sealed boxes (Indexed marks set, index
+// fronts advanced by the index horizon) loads with empty level indexes and
+// every mark cleared, answers every aggregate query as before, and after
+// more ingest re-snapshots byte-identically to a twin that never indexed.
+func TestLoadIndexedAggregateSnapshot(t *testing.T) {
+	const streams = 3
+	live := newSummary(t, Config{
+		W: 4, Levels: 4, Transform: TransformSum, BoxCapacity: 3,
+		HistoryN: 128, IndexHorizon: 32,
+	}, streams)
+	rng := rand.New(rand.NewSource(212))
+	data := gen.RandomWalks(rng, streams, 600)
+	for i := 0; i < 400; i++ {
+		for st := 0; st < streams; st++ {
+			live.Append(st, data[st][i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := live.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	// Mark the boxes as an indexing summary would have left them: sealed
+	// boxes newer than the index horizon indexed, older ones behind the
+	// index front.
+	marked, fronts := 0, 0
+	for _, ss := range snap.Streams {
+		now := ss.FirstTime + int64(len(ss.Values)) - 1
+		horizon := now - int64(snap.Config.IndexHorizon) + 1
+		for j := range ss.Levels {
+			lvl := &ss.Levels[j]
+			for lvl.IdxFront < len(lvl.Boxes) && lvl.Boxes[lvl.IdxFront].T2 < horizon {
+				lvl.IdxFront++
+			}
+			fronts += lvl.IdxFront
+			for i := lvl.IdxFront; i < len(lvl.Boxes); i++ {
+				if lvl.Boxes[i].Sealed {
+					lvl.Boxes[i].Indexed = true
+					marked++
+				}
+			}
+		}
+	}
+	if marked == 0 || fronts == 0 {
+		t.Fatalf("old-format snapshot has %d indexed boxes and index fronts summing to %d", marked, fronts)
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSummary(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < loaded.Config().Levels; j++ {
+		if n := loaded.Tree(j).Len(); n != 0 {
+			t.Fatalf("level %d index rebuilt with %d entries", j, n)
+		}
+	}
+	for i, st := range loaded.streams {
+		for j, sl := range st.levels {
+			if sl.idxFront != 0 {
+				t.Fatalf("stream %d level %d: index front %d", i, j, sl.idxFront)
+			}
+			for _, lb := range sl.boxes {
+				if lb.indexed {
+					t.Fatalf("stream %d level %d: box %d..%d still marked indexed", i, j, lb.t1, lb.t2)
+				}
+			}
+		}
+	}
+	for st := 0; st < streams; st++ {
+		for _, w := range []int{4, 12, 28, 60} {
+			a, err := live.AggregateBound(st, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := loaded.AggregateBound(st, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Fatalf("stream %d w=%d: bound %v vs %v", st, w, a, b)
+			}
+			threshold := a.Lo + (a.Hi-a.Lo)/2
+			qa, err := live.AggregateQuery(st, w, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qb, err := loaded.AggregateQuery(st, w, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if qa != qb {
+				t.Fatalf("stream %d w=%d: query %+v vs %+v", st, w, qa, qb)
+			}
+		}
+	}
+	for i := 400; i < 600; i++ {
+		for st := 0; st < streams; st++ {
+			live.Append(st, data[st][i])
+			loaded.Append(st, data[st][i])
+		}
+	}
+	var a, b bytes.Buffer
+	if err := live.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("re-snapshot after more ingest differs from the live twin's")
 	}
 }

@@ -14,7 +14,8 @@ type LevelStats struct {
 	IndexEntries int
 	// IndexHeight is the R*-tree height.
 	IndexHeight int
-	// Indexed reports whether this level inserts into the index.
+	// Indexed reports whether this level inserts into the index (never on
+	// an aggregate summary).
 	Indexed bool
 }
 

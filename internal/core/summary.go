@@ -220,7 +220,7 @@ func (s *Summary) AppendAll(vs []float64) {
 }
 
 // appendFeature adds the feature box to the stream's level thread, sealing
-// and indexing full boxes.
+// full boxes and indexing them on the levels that keep an index.
 func (s *Summary) appendFeature(st *streamState, level int, fb mbr.MBR, t int64) {
 	sealed := st.levels[level].addFeature(fb, t, s.cfg.BoxCapacity)
 	if sealed != nil && s.cfg.indexLevel(level) {
@@ -232,7 +232,8 @@ func (s *Summary) appendFeature(st *streamState, level int, fb mbr.MBR, t int64)
 // evictOld drops boxes older than the history horizon from the stream's
 // threads, and removes boxes older than the index horizon from the level
 // indexes (the thread may outlive the index entry when IndexHorizon <
-// HistoryN).
+// HistoryN). Levels without an index hold no indexed box, so they only
+// trim their threads.
 func (s *Summary) evictOld(st *streamState, now int64) {
 	idxHorizon := now - int64(s.cfg.IndexHorizon) + 1
 	if idxHorizon > 0 && s.cfg.IndexHorizon < s.cfg.HistoryN {
@@ -245,13 +246,7 @@ func (s *Summary) evictOld(st *streamState, now int64) {
 				if lb.t2 >= idxHorizon {
 					break
 				}
-				if lb.indexed {
-					lb.indexed = false
-					t1 := lb.t1
-					s.trees[j].Delete(s.featureView(lb.box, j), func(ref BoxRef) bool {
-						return ref.Stream == st.id && ref.T1 == t1
-					})
-				}
+				s.deindex(st, j, lb)
 				sl.idxFront++
 			}
 		}
@@ -261,16 +256,23 @@ func (s *Summary) evictOld(st *streamState, now int64) {
 		return
 	}
 	for j, sl := range st.levels {
-		for _, lb := range sl.evict(horizon) {
-			if !lb.indexed {
-				continue
-			}
-			t1 := lb.t1
-			s.trees[j].Delete(s.featureView(lb.box, j), func(ref BoxRef) bool {
-				return ref.Stream == st.id && ref.T1 == t1
-			})
+		evicted := sl.evict(horizon)
+		for i := range evicted {
+			s.deindex(st, j, &evicted[i])
 		}
 	}
+}
+
+// deindex deletes an indexed box from the level index and clears its flag.
+func (s *Summary) deindex(st *streamState, level int, lb *levelBox) {
+	if !lb.indexed {
+		return
+	}
+	lb.indexed = false
+	t1 := lb.t1
+	s.trees[level].Delete(s.featureView(lb.box, level), func(ref BoxRef) bool {
+		return ref.Stream == st.id && ref.T1 == t1
+	})
 }
 
 // evalDirect computes the exact feature of a raw window as a point box.

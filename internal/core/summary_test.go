@@ -240,7 +240,10 @@ func TestSpaceTheorem43(t *testing.T) {
 
 // TestIndexEviction: index size stays bounded as the stream flows.
 func TestIndexEviction(t *testing.T) {
-	cfg := Config{W: 4, Levels: 2, Transform: TransformSum, BoxCapacity: 4, HistoryN: 64}
+	cfg := Config{
+		W: 4, Levels: 2, Transform: TransformDWT, F: 2, Normalization: NormZ,
+		Rate: RateBatch(4), HistoryN: 64,
+	}
 	s := newSummary(t, cfg, 2)
 	var sizes []int
 	for i := 0; i < 2000; i++ {
@@ -250,7 +253,8 @@ func TestIndexEviction(t *testing.T) {
 			sizes = append(sizes, s.Tree(0).Len())
 		}
 	}
-	// Steady state: per stream ≈ 64/4 = 16 sealed boxes, 2 streams ≈ 32.
+	// Steady state: per stream ≈ 64/4 = 16 sealed boxes (rate 4, c = 1),
+	// 2 streams ≈ 32.
 	last := sizes[len(sizes)-1]
 	if last < 20 || last > 40 {
 		t.Fatalf("steady-state index size = %d, want ≈ 32", last)

@@ -49,9 +49,6 @@ func runStardustAgg(data []float64, tr core.Transform, w0 int, levels int, capac
 	cfg := core.Config{
 		W: w0, Levels: levels, Transform: tr, BoxCapacity: capacity,
 		HistoryN: 2 * (w0 << uint(levels-1)),
-		// Algorithm 2 reads the per-stream threads, never the cross-stream
-		// index; disabling it removes pure maintenance overhead here.
-		DisableIndex: true,
 	}
 	s, err := core.NewSummary(cfg, 1)
 	if err != nil {

@@ -1,19 +1,23 @@
 package stardust
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"stardust/internal/core"
 	"stardust/internal/gen"
+	"stardust/internal/obs"
 )
 
 // TestMonitorMetricsIngest: the ingest counters track exactly what the
-// guard admitted, and the index counters observe the resulting inserts.
+// guard admitted, and the index counters observe the resulting inserts
+// (on a DWT summary: only those keep a level index).
 func TestMonitorMetricsIngest(t *testing.T) {
-	m, err := New(Config{Streams: 2, W: 8, Levels: 3, Transform: Sum, BoxCapacity: 2})
+	m, err := New(Config{Streams: 2, W: 8, Levels: 3, Transform: DWT, Mode: Batch, Normalization: NormZ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +46,48 @@ func TestMonitorMetricsIngest(t *testing.T) {
 	}
 	if snap.Tree.NodeWrites < snap.Tree.Inserts {
 		t.Fatalf("node writes %d < inserts %d", snap.Tree.NodeWrites, snap.Tree.Inserts)
+	}
+}
+
+// TestAggregateMonitorsKeepNoIndex: SUM, MAX, MIN and SPREAD monitors fed
+// through many history turnovers make no R*-tree insert or delete, in the
+// metrics snapshot and in the exported stardust_index_* series, and report
+// every level as unindexed.
+func TestAggregateMonitorsKeepNoIndex(t *testing.T) {
+	for _, tr := range []Transform{Sum, Max, Min, Spread} {
+		m, err := New(Config{Streams: 3, W: 4, Levels: 3, Transform: tr, BoxCapacity: 2, History: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := gen.RandomWalks(rand.New(rand.NewSource(91)), 3, 1024)
+		for s := range data {
+			for i := 0; i < len(data[s]); i += 16 {
+				if err := m.IngestBatch(s, data[s][i:i+16]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := m.AggregateBound(0, 16); err != nil {
+			t.Fatalf("%v: %v", tr, err)
+		}
+		snap := m.Metrics()
+		if snap.Tree.Inserts != 0 || snap.Tree.Deletes != 0 {
+			t.Fatalf("%v: %d index inserts, %d deletes", tr, snap.Tree.Inserts, snap.Tree.Deletes)
+		}
+		var prom bytes.Buffer
+		if err := obs.WriteProm(&prom, snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, series := range []string{"stardust_index_inserts_total 0\n", "stardust_index_deletes_total 0\n"} {
+			if !strings.Contains(prom.String(), series) {
+				t.Fatalf("%v: exposition lacks %q", tr, series)
+			}
+		}
+		for j, l := range m.Stats().Levels {
+			if l.Indexed || l.IndexEntries != 0 {
+				t.Fatalf("%v: level %d indexed %v with %d entries", tr, j, l.Indexed, l.IndexEntries)
+			}
+		}
 	}
 }
 

@@ -41,9 +41,10 @@ func Recover(cfg Config, snapshotPath string) (*Monitor, ReplayStats, error) {
 // registry built over it). The watches are primed against the restored
 // state (snapshot-covered samples are skipped by replay, so their
 // evaluations must be reconstructed from the restored summary), and,
-// when cfg.Durability.Dir is set, the WAL tail is replayed through
-// standing-query evaluation with events suppressed, re-deriving each
-// aggregate watch's edge state, before the log is attached. Alarms that
+// when cfg.Durability.Dir is set, the WAL tail is replayed through the
+// aggregate watches with events suppressed, re-deriving each one's edge
+// state, before the log is attached (pattern and correlation watches hold
+// no state to rebuild, so replay does not evaluate them). Alarms that
 // fired before the crash are therefore NOT fired again — after recovery
 // the watcher behaves exactly as if ingestion had never been
 // interrupted. Without a WAL directory only the snapshot is restored
@@ -68,7 +69,7 @@ func RecoverWatcher(cfg Config, snapshotPath string, register func(*SafeWatcher)
 		return nil, ReplayStats{}, fmt.Errorf("stardust: %v", err)
 	}
 	stats, err := log.Replay(func(rec wal.Record) error {
-		sw.w.applyRecord(rec)
+		sw.w.applyRecord(rec, applyReplay)
 		return nil
 	})
 	if err != nil {
@@ -98,16 +99,17 @@ func loadOrNewMonitor(cfg Config, snapshotPath string) (*Monitor, error) {
 	return newMonitor(cfg)
 }
 
-// applyRecord applies one logged run through the watcher's apply path,
-// skipping the values whose discrete times the summary already covers
-// (a restored snapshot or replica bootstrap), so applying from any LSN at
-// or before the covered watermark plus one is exact. Streams registered
-// with AddStream after the snapshot are re-registered on demand. The
-// guard and the WAL are bypassed — the record holds only samples the
-// guard already admitted — and evaluation errors are dropped, as the
-// live push's partial-event contract already delivered them. It returns
-// the triggered events for the caller to suppress or deliver.
-func (w *Watcher) applyRecord(rec wal.Record) []Event {
+// applyRecord applies one logged run through the watcher's apply path in
+// the given mode (replay or replication), skipping the values whose
+// discrete times the summary already covers (a restored snapshot or
+// replica bootstrap), so applying from any LSN at or before the covered
+// watermark plus one is exact. Streams registered with AddStream after
+// the snapshot are re-registered on demand. The guard and the WAL are
+// bypassed — the record holds only samples the guard already admitted —
+// and evaluation errors are dropped, as the live push's partial-event
+// contract already delivered them. It returns the triggered events for
+// the caller to suppress or deliver.
+func (w *Watcher) applyRecord(rec wal.Record, mode applyMode) []Event {
 	m := w.mon
 	for rec.Stream >= m.NumStreams() {
 		m.AddStream()
@@ -120,6 +122,6 @@ func (w *Watcher) applyRecord(rec wal.Record) []Event {
 		}
 		vs = vs[skip:]
 	}
-	events, _ := w.apply(rec.Stream, vs, false)
+	events, _ := w.apply(rec.Stream, vs, mode)
 	return events
 }

@@ -67,7 +67,7 @@ func (s *SafeWatcher) ApplyWALRecord(rec WALRecord) error {
 	if s.w.mon.wal != nil {
 		return fmt.Errorf("stardust: ApplyWALRecord on a durable monitor (followers must not write-ahead log)")
 	}
-	s.deliver(s.w.applyRecord(rec))
+	s.deliver(s.w.applyRecord(rec, applyReplicate))
 	return nil
 }
 

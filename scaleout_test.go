@@ -313,7 +313,10 @@ func TestShardedNearestPatternsParity(t *testing.T) {
 // TestShardedMetricsMerge: the coordinator's metrics snapshot is the sum
 // of the shard snapshots.
 func TestShardedMetricsMerge(t *testing.T) {
-	cfg := stardust.Config{Streams: 4, W: 8, Levels: 3, Transform: stardust.Sum, BoxCapacity: 2}
+	cfg := stardust.Config{
+		Streams: 4, W: 8, Levels: 3, Transform: stardust.DWT, Mode: stardust.Batch,
+		Normalization: stardust.NormZ,
+	}
 	sm, _, _ := shardedPair(t, cfg, 2, 300, 5)
 	snap := sm.Metrics()
 	if snap.Ingest.Samples != 4*300 {

@@ -4,8 +4,11 @@
 // W, 2W, 4W, ... — computing features (SUM, MAX, MIN, SPREAD aggregates or
 // wavelet coefficients) incrementally: each level's feature is derived from
 // the level below in O(f) time, and consecutive features are grouped into
-// minimum bounding rectangles indexed in per-level R*-trees. On top of the
-// summary run three query classes with provable no-false-dismissal bounds:
+// minimum bounding rectangles — indexed in per-level R*-trees on a wavelet
+// summary, whose pattern and correlation queries search them (aggregate
+// monitoring reads each stream's own rectangles and keeps no index). On top
+// of the summary run three query classes with provable no-false-dismissal
+// bounds:
 //
 //   - aggregate monitoring: "alert when the sum/spread over ANY window from
 //     minutes to days crosses its threshold" (CheckAggregate);
@@ -226,11 +229,6 @@ type Config struct {
 	// OnlineI enables the exact-corner MBR wavelet transform (Appendix A
 	// Online I) instead of the Θ(f) bound.
 	OnlineI bool
-	// DisableIndex skips the cross-stream indexes. Aggregate monitoring
-	// never consults them, so aggregate-only deployments save all index
-	// maintenance; pattern queries and lagged correlations require the
-	// index and must leave this off.
-	DisableIndex bool
 	// BadValues configures the ingestion guard applied by Ingest,
 	// IngestAll and Watcher.Push (and, for repairs, Append). The zero
 	// value rejects non-finite samples and quarantines a stream after
@@ -299,7 +297,6 @@ func newMonitor(cfg Config) (*Monitor, error) {
 		Rmax:          cfg.Rmax,
 		OnlineI:       cfg.OnlineI,
 		HistoryN:      cfg.History,
-		DisableIndex:  cfg.DisableIndex,
 	}
 	switch cfg.Mode {
 	case Online:

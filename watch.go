@@ -357,7 +357,7 @@ func (w *Watcher) Push(stream int, v float64) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.apply(stream, run, true)
+	return w.apply(stream, run, applyLive)
 }
 
 // ingestBatch is Push for a run of values on one stream, with
@@ -365,7 +365,7 @@ func (w *Watcher) Push(stream int, v float64) ([]Event, error) {
 // their errors joined, and the admitted run is one WAL record.
 func (w *Watcher) ingestBatch(stream int, vs []float64) ([]Event, error) {
 	run, err := w.mon.admitBatch(stream, vs)
-	events, aerr := w.apply(stream, run, true)
+	events, aerr := w.apply(stream, run, applyLive)
 	if aerr != nil {
 		err = errors.Join(err, aerr)
 	}
@@ -380,32 +380,50 @@ func (w *Watcher) streamAggs(stream int) []*aggWatch {
 	return nil
 }
 
-// watched reports whether any installed watch can fire on an arrival on
-// stream: the stream's own aggregate watches, or any pattern or
-// correlation watch (those span every stream).
-func (w *Watcher) watched(stream int) bool {
-	return len(w.streamAggs(stream)) > 0 || len(w.patterns) > 0 || len(w.corrs) > 0
+// applyMode says which path drives apply.
+type applyMode int
+
+const (
+	// applyLive is live ingestion: it alone feeds the stardust_watch_*
+	// instruments and the append-latency samples.
+	applyLive applyMode = iota
+	// applyReplicate applies a replicated record; its events are
+	// delivered, so every watch is evaluated.
+	applyReplicate
+	// applyReplay re-applies a WAL record at recovery; its events are
+	// suppressed, so only aggregate watches — the only ones whose edge and
+	// verifier state replay must rebuild — are evaluated. Pattern and
+	// correlation watches keep no state: the next live tick examines only
+	// results completed after the replayed clocks.
+	applyReplay
+)
+
+// watched reports whether any installed watch must be evaluated on an
+// arrival on stream: the stream's own aggregate watches, or any pattern
+// or correlation watch (those span every stream) unless mode is replay.
+func (w *Watcher) watched(stream int, mode applyMode) bool {
+	if len(w.streamAggs(stream)) > 0 {
+		return true
+	}
+	return mode != applyReplay && (len(w.patterns) > 0 || len(w.corrs) > 0)
 }
 
 // apply appends an admitted run for stream to the summary and evaluates
 // the standing queries after every value — the one apply path behind
-// live ingestion, WAL replay and replication. It returns the triggered
-// events; replay suppresses them and replication delivers them. live
-// marks live ingestion, which alone feeds the stardust_watch_*
-// instruments and the append-latency samples. When no installed watch
-// can fire on the stream the run goes to the summary in one AppendBatch
-// (live runs still count one evaluation per value, in bulk). An
-// evaluation error does not stop the run: the remaining values are
-// applied and evaluated, and the errors are joined (the partial-event
-// contract of Push).
-func (w *Watcher) apply(stream int, run []float64, live bool) ([]Event, error) {
+// live ingestion, WAL replay and replication (see applyMode). It returns
+// the triggered events. When no installed watch needs evaluating on the
+// stream the run goes to the summary in one AppendBatch (live runs still
+// count one evaluation per value, in bulk). An evaluation error does not
+// stop the run: the remaining values are applied and evaluated, and the
+// errors are joined (the partial-event contract of Push).
+func (w *Watcher) apply(stream int, run []float64, mode applyMode) ([]Event, error) {
 	if len(run) == 0 {
 		return nil, nil
 	}
 	m := w.mon
 	end := m.metrics.Ingest.Samples.Load()
-	if !w.watched(stream) {
-		if live {
+	if !w.watched(stream, mode) {
+		if mode == applyLive {
 			w.watchMetrics().Evaluations.Add(int64(len(run)))
 			m.appendRun(stream, run, end)
 		} else {
@@ -418,14 +436,19 @@ func (w *Watcher) apply(stream int, run []float64, live bool) ([]Event, error) {
 	for i, v := range run {
 		var evs []Event
 		var err error
-		if live {
+		switch mode {
+		case applyLive:
 			m.appendRun(stream, run[i:i+1], end-int64(len(run)-1-i))
 			w.feedAggs(stream, v)
 			evs, err = w.evaluateInstrumented(stream, m.Now(stream))
-		} else {
+		case applyReplicate:
 			m.sum.Append(stream, v)
 			w.feedAggs(stream, v)
 			evs, err = w.evaluate(stream, m.Now(stream))
+		case applyReplay:
+			m.sum.Append(stream, v)
+			w.feedAggs(stream, v)
+			evs, err = w.evaluateAggs(stream, m.Now(stream))
 		}
 		events = append(events, evs...)
 		if err != nil {
@@ -502,8 +525,45 @@ func (w *Watcher) primeRecovery() {
 // evaluate runs the standing queries affected by an arrival on stream at
 // discrete time t and returns the triggered events.
 func (w *Watcher) evaluate(stream int, t int64) ([]Event, error) {
-	var events []Event
+	events, err := w.evaluateAggs(stream, t)
+	if err != nil {
+		return events, err
+	}
+	if len(w.patterns) == 0 && len(w.corrs) == 0 {
+		return events, nil
+	}
+	sum := w.mon.Summary()
+	every := int64(sum.Config().W)
+	if (t+1)%every != 0 {
+		return events, nil
+	}
+	for _, p := range w.patterns {
+		for _, m := range sum.MatchesEnding(stream, p.query, p.radius, t-every+1, t) {
+			events = append(events, Event{
+				Kind: EventPattern, WatchID: p.id, Stream: stream, Time: m.End, Value: m.Dist,
+			})
+		}
+	}
+	for _, c := range w.corrs {
+		pairs, err := sum.CorrelationProbe(stream, c.level, c.radius, t-every)
+		if err != nil {
+			return events, err
+		}
+		for _, pr := range pairs {
+			events = append(events, Event{
+				Kind: EventCorrelation, WatchID: c.id,
+				Stream: pr.A, StreamB: pr.B, Time: pr.TimeA, TimeB: pr.TimeB,
+				Value: pr.Correlation,
+			})
+		}
+	}
+	return events, nil
+}
 
+// evaluateAggs runs the stream's aggregate watches at discrete time t and
+// returns the triggered events.
+func (w *Watcher) evaluateAggs(stream int, t int64) ([]Event, error) {
+	var events []Event
 	for _, a := range w.streamAggs(stream) {
 		if t < int64(a.window)-1 {
 			continue
@@ -533,35 +593,6 @@ func (w *Watcher) evaluate(stream int, t int64) ([]Event, error) {
 			}
 		case !res.Alarm:
 			a.firing = false
-		}
-	}
-
-	if len(w.patterns) == 0 && len(w.corrs) == 0 {
-		return events, nil
-	}
-	sum := w.mon.Summary()
-	every := int64(sum.Config().W)
-	if (t+1)%every != 0 {
-		return events, nil
-	}
-	for _, p := range w.patterns {
-		for _, m := range sum.MatchesEnding(stream, p.query, p.radius, t-every+1, t) {
-			events = append(events, Event{
-				Kind: EventPattern, WatchID: p.id, Stream: stream, Time: m.End, Value: m.Dist,
-			})
-		}
-	}
-	for _, c := range w.corrs {
-		pairs, err := sum.CorrelationProbe(stream, c.level, c.radius, t-every)
-		if err != nil {
-			return events, err
-		}
-		for _, pr := range pairs {
-			events = append(events, Event{
-				Kind: EventCorrelation, WatchID: c.id,
-				Stream: pr.A, StreamB: pr.B, Time: pr.TimeA, TimeB: pr.TimeB,
-				Value: pr.Correlation,
-			})
 		}
 	}
 	return events, nil

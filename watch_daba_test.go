@@ -150,8 +150,8 @@ func TestWatcherDABARecoveryParity(t *testing.T) {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			continue // replay carries only admitted samples
 		}
-		wNew.apply(0, []float64{v}, false)
-		wOld.apply(0, []float64{v}, false)
+		wNew.apply(0, []float64{v}, applyReplay)
+		wOld.apply(0, []float64{v}, applyReplay)
 	}
 	for i, v := range parityStream(rng, 200) {
 		evNew, _ := wNew.Push(0, v)
