@@ -77,15 +77,17 @@ stage_done
 #    downloaded.
 #  - docbuild compiles every ```go block in the markdown docs and fails if
 #    cmd/stardust-server or cmd/stardust-router registers a flag that
-#    README.md/RUNBOOK.md do not document.
+#    README.md/RUNBOOK.md do not document, or if RUNBOOK.md's metric
+#    catalogue misses a series internal/obs exposes or lists one it does
+#    not.
 stage "doclint (doc-comment gate)"
 go run ./internal/tools/doclint .
 stage_done
 
-stage "docbuild (markdown code blocks + flag reference)"
+stage "docbuild (markdown code blocks + flag reference + metric catalogue)"
 go run ./internal/tools/docbuild \
     -flagsrc cmd/stardust-server/main.go,cmd/stardust-router/main.go \
-    -flagdoc README.md,RUNBOOK.md \
+    -flagdoc README.md,RUNBOOK.md -metricdoc RUNBOOK.md \
     README.md RUNBOOK.md DESIGN.md
 stage_done
 

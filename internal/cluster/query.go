@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"stardust"
+	"stardust/internal/core"
 	"stardust/internal/mbr"
 	"stardust/internal/stats"
 )
@@ -103,8 +104,8 @@ func (c *Cluster) FindPattern(q []float64, r float64) (stardust.PatternResult, e
 		merged.Matches = append(merged.Matches, res.Matches...)
 		merged.Relevant += res.Relevant
 	}
-	sortMatches(merged.Candidates)
-	sortMatches(merged.Matches)
+	core.SortMatches(merged.Candidates)
+	core.SortMatches(merged.Matches)
 	return merged, perr
 }
 
@@ -120,15 +121,7 @@ func (c *Cluster) NearestPatterns(q []float64, k int) ([]stardust.Match, error) 
 	for _, name := range sortedNames(outs) {
 		all = append(all, outs[name]...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		if all[i].Stream != all[j].Stream {
-			return all[i].Stream < all[j].Stream
-		}
-		return all[i].End < all[j].End
-	})
+	core.SortNearest(all)
 	if len(all) > k {
 		all = all[:k]
 	}
@@ -233,8 +226,8 @@ func (c *Cluster) Correlations(level int, r float64) (stardust.CorrelationResult
 
 	verified, verr := c.verifyCross(cross, level, r)
 	merged.Pairs = append(merged.Pairs, verified...)
-	sortCorrPairs(merged.Candidates)
-	sortCorrPairs(merged.Pairs)
+	core.SortPairs(merged.Candidates)
+	core.SortPairs(merged.Pairs)
 	if perr == nil {
 		perr = verr
 	}
@@ -380,31 +373,6 @@ func (c *Cluster) LaggedCorrelations(level int, r float64, maxLag int) ([]stardu
 			merged = append(merged, stardust.CorrPair{A: fa.stream, B: fb.stream, TimeA: fa.t, TimeB: fb.t})
 		}
 	}
-	sortCorrPairs(merged)
+	core.SortPairs(merged)
 	return merged, perr
-}
-
-// sortCorrPairs orders pairs by (A, B, TimeB) — the canonical order the
-// core's screens emit.
-func sortCorrPairs(ps []stardust.CorrPair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
-		}
-		if ps[i].B != ps[j].B {
-			return ps[i].B < ps[j].B
-		}
-		return ps[i].TimeB < ps[j].TimeB
-	})
-}
-
-// sortMatches orders matches by (stream, end) — the canonical order the
-// core's pattern queries emit.
-func sortMatches(ms []stardust.Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Stream != ms[j].Stream {
-			return ms[i].Stream < ms[j].Stream
-		}
-		return ms[i].End < ms[j].End
-	})
 }

@@ -64,7 +64,7 @@ func (s *Summary) CorrelationScreen(level int, r float64) ([]CorrPair, error) {
 	for _, ps := range perStream {
 		out = append(out, ps...)
 	}
-	sortPairs(out)
+	SortPairs(out)
 	return out, nil
 }
 
@@ -95,7 +95,7 @@ func (s *Summary) CorrelationProbe(stream, level int, r float64, since int64) ([
 			out = append(out, p)
 		}
 	}
-	sortPairs(out)
+	SortPairs(out)
 	return out, nil
 }
 
@@ -188,7 +188,7 @@ func (s *Summary) VerifyPairs(level int, pairs []CorrPair, r float64) []CorrPair
 			out = append(out, p)
 		}
 	}
-	sortPairs(out)
+	SortPairs(out)
 	return out
 }
 
@@ -249,7 +249,7 @@ func (s *Summary) ScanCorrelatedPairs(level int, t int64, r float64) []CorrPair 
 			}
 		}
 	}
-	sortPairs(out)
+	SortPairs(out)
 	return out
 }
 
@@ -271,4 +271,6 @@ func (p pairsByID) Less(i, j int) bool {
 	return p[i].TimeB < p[j].TimeB
 }
 
-func sortPairs(ps []CorrPair) { sort.Sort(pairsByID(ps)) }
+// SortPairs puts correlated pairs in the canonical order the screens
+// emit: by A, then B, then TimeB.
+func SortPairs(ps []CorrPair) { sort.Sort(pairsByID(ps)) }

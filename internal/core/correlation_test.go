@@ -89,7 +89,7 @@ func TestCorrelationProbeCompletesPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sortPairs(probed)
+		SortPairs(probed)
 		if len(probed) != len(res.Pairs) {
 			t.Fatalf("block at %d: probes found %v, round %v", lo, probed, res.Pairs)
 		}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NearestPatterns returns the k stream subsequences most similar to the
 // query under the configured normalization — the nearest-neighbor
@@ -76,18 +73,7 @@ func (s *Summary) NearestPatterns(q []float64, k int) ([]Match, error) {
 			verified = append(verified, Match{Stream: key.Stream, End: key.End, Dist: verdicts[i].dist})
 		}
 	}
-	// Ties break by (stream, end) so the ranking is a total order: the
-	// cluster router's merge of per-shard answers sorts to exactly this
-	// sequence.
-	sort.Slice(verified, func(a, b int) bool {
-		if verified[a].Dist != verified[b].Dist {
-			return verified[a].Dist < verified[b].Dist
-		}
-		if verified[a].Stream != verified[b].Stream {
-			return verified[a].Stream < verified[b].Stream
-		}
-		return verified[a].End < verified[b].End
-	})
+	SortNearest(verified)
 	if len(verified) > k {
 		verified = verified[:k]
 	}

@@ -79,6 +79,6 @@ func (s *Summary) CorrelationScreenLagged(level int, r float64, maxLag int) ([]C
 	for _, ps := range perStream {
 		out = append(out, ps...)
 	}
-	sortPairs(out)
+	SortPairs(out)
 	return out, nil
 }

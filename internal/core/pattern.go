@@ -175,8 +175,8 @@ func (s *Summary) PatternQueryOnline(q []float64, r float64) (PatternResult, err
 			res.Matches = append(res.Matches, Match{Stream: it.stream, End: it.end, Dist: it.dist})
 		}
 	}
-	sortMatches(res.Candidates)
-	sortMatches(res.Matches)
+	SortMatches(res.Candidates)
+	SortMatches(res.Matches)
 	return res, nil
 }
 
@@ -385,8 +385,8 @@ func (s *Summary) PatternQueryBatchAt(q []float64, r float64, j int) (PatternRes
 			res.Matches = append(res.Matches, m)
 		}
 	}
-	sortMatches(res.Candidates)
-	sortMatches(res.Matches)
+	SortMatches(res.Candidates)
+	SortMatches(res.Matches)
 	return res, nil
 }
 
@@ -433,8 +433,26 @@ func (s *Summary) MatchesEnding(stream int, q []float64, r float64, lo, hi int64
 	return out
 }
 
-func sortMatches(ms []Match) {
+// SortMatches puts matches in the canonical order pattern queries emit:
+// by stream, then end time. A merge of partial answers (parallel workers,
+// cluster shards) sorted with it reproduces a single monitor's sequence.
+func SortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].Stream != ms[j].Stream {
+			return ms[i].Stream < ms[j].Stream
+		}
+		return ms[i].End < ms[j].End
+	})
+}
+
+// SortNearest puts k-NN matches in ranking order: by distance, ties broken
+// by stream and then end time, so the ranking is a total order and a
+// merge of per-shard answers sorts to the same sequence.
+func SortNearest(ms []Match) {
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].Dist != ms[j].Dist {
+			return ms[i].Dist < ms[j].Dist
+		}
 		if ms[i].Stream != ms[j].Stream {
 			return ms[i].Stream < ms[j].Stream
 		}

@@ -1,170 +1,63 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
-
 // ClusterMetrics instruments the router/coordinator tier (internal/cluster):
 // ring topology, per-shard forwarding health, query fan-out latency and the
 // partial-result/degrade path. Like replication and the TCP transport, the
 // cluster is a process-level concern — the router's HTTP server merges this
 // snapshot into the backend-aggregated one on /metricsz rather than
-// threading it through Metrics.
+// threading it through Metrics. Each field is documented by the help text
+// of its series in the series table.
 type ClusterMetrics struct {
-	// Shards is the configured shard count; RingVNodes the total number of
-	// virtual nodes on the consistent-hash ring; ShardsHealthy how many
-	// shards passed their most recent health probe.
-	Shards, RingVNodes, ShardsHealthy Gauge
-	// Fanouts counts scatter-gather query rounds; FanoutNanos is the
-	// wall-time distribution of a full round (slowest shard dominates).
-	Fanouts     Counter
-	FanoutNanos *Histogram
-	// PartialResults counts query rounds answered from a subset of shards
-	// under the degrade policy; QueryFailures counts rounds that returned
-	// an error to the caller.
-	PartialResults, QueryFailures Counter
-	// IngestRetries counts forwarded ingest attempts beyond the first;
-	// RingRemaps counts shard join/leave events that rebuilt the ring.
-	IngestRetries, RingRemaps Counter
-	// HealthProbes and HealthProbeFailures count background shard health
-	// checks and the ones that failed.
-	HealthProbes, HealthProbeFailures Counter
+	Shards, RingVNodes, ShardsHealthy                            Gauge
+	Fanouts, PartialResults, QueryFailures                       Counter
+	FanoutNanos                                                  *Histogram
+	IngestRetries, RingRemaps, HealthProbes, HealthProbeFailures Counter
 
-	mu       sync.Mutex
-	byShard  map[string]*ShardMetrics
-	ordering []string
+	shards named[ShardMetrics]
 }
 
 // ShardMetrics is the per-shard slice of the cluster instrument set.
+// Healthy is 1 while the shard passes its health probes and forwards.
 type ShardMetrics struct {
-	// Healthy is 1 when the shard passed its most recent health probe or
-	// forward, 0 when it is failing.
-	Healthy Gauge
-	// Forwards counts ingest requests forwarded to the shard; Errors
-	// counts forwards and query legs that failed against it.
+	Healthy          Gauge
 	Forwards, Errors Counter
 }
 
 // NewClusterMetrics builds a cluster instrument set with default histogram
 // bounds.
 func NewClusterMetrics() *ClusterMetrics {
-	return &ClusterMetrics{
-		FanoutNanos: NewHistogram(LatencyBuckets()),
-		byShard:     make(map[string]*ShardMetrics),
-	}
+	return &ClusterMetrics{FanoutNanos: NewHistogram(LatencyBuckets())}
 }
 
 // Shard returns the named shard's instruments, creating them on first use.
 // Safe for concurrent use.
-func (c *ClusterMetrics) Shard(name string) *ShardMetrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.byShard[name]
-	if !ok {
-		s = &ShardMetrics{}
-		c.byShard[name] = s
-		c.ordering = append(c.ordering, name)
-	}
-	return s
-}
+func (c *ClusterMetrics) Shard(name string) *ShardMetrics { return c.shards.row(name) }
 
 // Snapshot captures every cluster instrument at one point in time; the
 // per-shard section is sorted by shard name for stable output.
 func (c *ClusterMetrics) Snapshot() ClusterSnapshot {
-	c.mu.Lock()
-	names := append([]string(nil), c.ordering...)
-	shards := make([]ClusterShardSnapshot, 0, len(names))
-	for _, name := range names {
-		m := c.byShard[name]
-		shards = append(shards, ClusterShardSnapshot{
-			Name:     name,
-			Healthy:  m.Healthy.Load(),
-			Forwards: m.Forwards.Load(),
-			Errors:   m.Errors.Load(),
-		})
-	}
-	c.mu.Unlock()
-	sort.Slice(shards, func(i, j int) bool { return shards[i].Name < shards[j].Name })
-	return ClusterSnapshot{
-		Shards:              c.Shards.Load(),
-		RingVNodes:          c.RingVNodes.Load(),
-		ShardsHealthy:       c.ShardsHealthy.Load(),
-		Fanouts:             c.Fanouts.Load(),
-		FanoutNanos:         c.FanoutNanos.Snapshot(),
-		PartialResults:      c.PartialResults.Load(),
-		QueryFailures:       c.QueryFailures.Load(),
-		IngestRetries:       c.IngestRetries.Load(),
-		RingRemaps:          c.RingRemaps.Load(),
-		HealthProbes:        c.HealthProbes.Load(),
-		HealthProbeFailures: c.HealthProbeFailures.Load(),
-		PerShard:            shards,
-	}
+	var s ClusterSnapshot
+	clusterLoader.load(&s, c)
+	s.PerShard = snapshotRows[ClusterShardSnapshot](&c.shards, shardLoader)
+	return s
 }
 
-// ClusterShardSnapshot is one shard's row in a ClusterSnapshot.
+// ClusterShardSnapshot is one shard's row in a ClusterSnapshot: the
+// shard's configured name (its metric label) and fields mirroring
+// ShardMetrics.
 type ClusterShardSnapshot struct {
-	// Name is the shard's configured name (its metric label).
-	Name string
-	// Healthy, Forwards and Errors mirror ShardMetrics.
+	Name                      string
 	Healthy, Forwards, Errors int64
 }
 
 // ClusterSnapshot is the coordinator section of a Snapshot: plain data,
-// all-zero with no shards when the process is not a router.
+// all-zero with no shards when the process is not a router. Its scalar
+// fields mirror ClusterMetrics; PerShard lists each shard's row, sorted by
+// name.
 type ClusterSnapshot struct {
-	// Shards, RingVNodes and ShardsHealthy describe the ring topology (see
-	// ClusterMetrics).
-	Shards, RingVNodes, ShardsHealthy int64
-	// Fanouts and FanoutNanos count and time scatter-gather rounds.
-	Fanouts     int64
-	FanoutNanos HistogramSnapshot
-	// PartialResults through HealthProbeFailures mirror ClusterMetrics.
-	PartialResults, QueryFailures     int64
-	IngestRetries, RingRemaps         int64
-	HealthProbes, HealthProbeFailures int64
-	// PerShard lists each shard's health and traffic, sorted by name.
-	PerShard []ClusterShardSnapshot
-}
-
-// merge sums counters, keeps the maximum of topology gauges, and merges the
-// per-shard sections by shard name (a name appearing on both sides sums).
-func (c ClusterSnapshot) merge(o ClusterSnapshot) ClusterSnapshot {
-	max := func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	byName := make(map[string]ClusterShardSnapshot, len(c.PerShard)+len(o.PerShard))
-	for _, s := range c.PerShard {
-		byName[s.Name] = s
-	}
-	for _, s := range o.PerShard {
-		if prev, ok := byName[s.Name]; ok {
-			s.Healthy = max(prev.Healthy, s.Healthy)
-			s.Forwards += prev.Forwards
-			s.Errors += prev.Errors
-		}
-		byName[s.Name] = s
-	}
-	shards := make([]ClusterShardSnapshot, 0, len(byName))
-	for _, s := range byName {
-		shards = append(shards, s)
-	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i].Name < shards[j].Name })
-	return ClusterSnapshot{
-		Shards:              max(c.Shards, o.Shards),
-		RingVNodes:          max(c.RingVNodes, o.RingVNodes),
-		ShardsHealthy:       max(c.ShardsHealthy, o.ShardsHealthy),
-		Fanouts:             c.Fanouts + o.Fanouts,
-		FanoutNanos:         c.FanoutNanos.merge(o.FanoutNanos),
-		PartialResults:      c.PartialResults + o.PartialResults,
-		QueryFailures:       c.QueryFailures + o.QueryFailures,
-		IngestRetries:       c.IngestRetries + o.IngestRetries,
-		RingRemaps:          c.RingRemaps + o.RingRemaps,
-		HealthProbes:        c.HealthProbes + o.HealthProbes,
-		HealthProbeFailures: c.HealthProbeFailures + o.HealthProbeFailures,
-		PerShard:            shards,
-	}
+	Shards, RingVNodes, ShardsHealthy, Fanouts               int64
+	FanoutNanos                                              HistogramSnapshot
+	PartialResults, QueryFailures, IngestRetries, RingRemaps int64
+	HealthProbes, HealthProbeFailures                        int64
+	PerShard                                                 []ClusterShardSnapshot
 }

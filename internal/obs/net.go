@@ -5,29 +5,14 @@ package obs
 // flow in each direction, the ack/nack split, and a per-request latency
 // histogram. Like replication, the transport is a process-level concern —
 // the HTTP server merges this snapshot into the monitor's on /metricsz
-// rather than threading it through Metrics.
+// rather than threading it through Metrics. Each field is documented by
+// the help text of its series in the series table.
 type NetMetrics struct {
-	// ConnsOpen is the number of client connections currently open;
-	// ConnsTotal counts every connection ever accepted.
-	ConnsOpen  Gauge
-	ConnsTotal Counter
-	// Handshakes counts completed hellos; VersionMismatches counts hellos
-	// nacked for speaking an unknown protocol version.
-	Handshakes, VersionMismatches Counter
-	// FramesIn and FramesOut count frames read from and written to
-	// clients; BytesIn and BytesOut their framed sizes.
-	FramesIn, FramesOut Counter
-	BytesIn, BytesOut   Counter
-	// Samples counts sample values admitted over the wire (the TCP
-	// analogue of stardust_ingest_samples_total's wire share).
-	Samples Counter
-	// Acks and Nacks split the responses to client requests; ProtoErrors
-	// counts the nacks that also closed the connection (malformed frames,
-	// oversized frames, checksum failures).
-	Acks, Nacks, ProtoErrors Counter
-	// FrameNanos is the server-side wall time from a request frame's
-	// arrival to its response being written.
-	FrameNanos *Histogram
+	ConnsOpen                                       Gauge
+	ConnsTotal, Handshakes, VersionMismatches       Counter
+	FramesIn, FramesOut, BytesIn, BytesOut, Samples Counter
+	Acks, Nacks, ProtoErrors                        Counter
+	FrameNanos                                      *Histogram
 }
 
 // NewNetMetrics builds a transport instrument set with default histogram
@@ -38,58 +23,16 @@ func NewNetMetrics() *NetMetrics {
 
 // Snapshot captures every transport instrument at one point in time.
 func (n *NetMetrics) Snapshot() NetSnapshot {
-	return NetSnapshot{
-		ConnsOpen:         n.ConnsOpen.Load(),
-		ConnsTotal:        n.ConnsTotal.Load(),
-		Handshakes:        n.Handshakes.Load(),
-		VersionMismatches: n.VersionMismatches.Load(),
-		FramesIn:          n.FramesIn.Load(),
-		FramesOut:         n.FramesOut.Load(),
-		BytesIn:           n.BytesIn.Load(),
-		BytesOut:          n.BytesOut.Load(),
-		Samples:           n.Samples.Load(),
-		Acks:              n.Acks.Load(),
-		Nacks:             n.Nacks.Load(),
-		ProtoErrors:       n.ProtoErrors.Load(),
-		FrameNanos:        n.FrameNanos.Snapshot(),
-	}
+	var s NetSnapshot
+	netLoader.load(&s, n)
+	return s
 }
 
 // NetSnapshot is the binary-transport section of a Snapshot: plain data,
-// all-zero when no TCP listener is mounted.
+// all-zero when no TCP listener is mounted. Its fields mirror NetMetrics.
 type NetSnapshot struct {
-	// ConnsOpen and ConnsTotal describe the connection lifecycle (see
-	// NetMetrics).
-	ConnsOpen, ConnsTotal int64
-	// Handshakes and VersionMismatches split handshake outcomes.
-	Handshakes, VersionMismatches int64
-	// FramesIn through BytesOut are the frame and byte flow counters.
-	FramesIn, FramesOut int64
-	BytesIn, BytesOut   int64
-	// Samples counts sample values admitted over the wire.
-	Samples int64
-	// Acks, Nacks and ProtoErrors split the server's responses.
-	Acks, Nacks, ProtoErrors int64
-	// FrameNanos is the per-request service latency distribution.
-	FrameNanos HistogramSnapshot
-}
-
-// merge sums counters, sums the open-connections gauge (two listeners'
-// connections coexist) and merges the latency histogram.
-func (n NetSnapshot) merge(o NetSnapshot) NetSnapshot {
-	return NetSnapshot{
-		ConnsOpen:         n.ConnsOpen + o.ConnsOpen,
-		ConnsTotal:        n.ConnsTotal + o.ConnsTotal,
-		Handshakes:        n.Handshakes + o.Handshakes,
-		VersionMismatches: n.VersionMismatches + o.VersionMismatches,
-		FramesIn:          n.FramesIn + o.FramesIn,
-		FramesOut:         n.FramesOut + o.FramesOut,
-		BytesIn:           n.BytesIn + o.BytesIn,
-		BytesOut:          n.BytesOut + o.BytesOut,
-		Samples:           n.Samples + o.Samples,
-		Acks:              n.Acks + o.Acks,
-		Nacks:             n.Nacks + o.Nacks,
-		ProtoErrors:       n.ProtoErrors + o.ProtoErrors,
-		FrameNanos:        n.FrameNanos.merge(o.FrameNanos),
-	}
+	ConnsOpen, ConnsTotal, Handshakes, VersionMismatches int64
+	FramesIn, FramesOut, BytesIn, BytesOut, Samples      int64
+	Acks, Nacks, ProtoErrors                             int64
+	FrameNanos                                           HistogramSnapshot
 }

@@ -240,14 +240,6 @@ type QueryMetrics struct {
 	Latency *Histogram
 }
 
-// observe records one completed query.
-func (q *QueryMetrics) observe(candidates, verified int, nanos int64) {
-	q.Queries.Inc()
-	q.Candidates.Add(int64(candidates))
-	q.Verified.Add(int64(verified))
-	q.Latency.Observe(float64(nanos))
-}
-
 // IngestMetrics instruments the ingestion path. Accept/repair/reject
 // counters live in the resilience guard; here we track the sample cadence
 // and the per-append latency distribution.
@@ -324,35 +316,21 @@ func (p *ParallelMetrics) ObserveRound(n int, nanos int64) {
 // WALMetrics instruments the write-ahead log on the ingest hot path:
 // append volume, fsync cadence and latency (the durability cost), group
 // commit amortization, and the segment lifecycle driven by rotation and
-// snapshot-watermark trimming.
+// snapshot-watermark trimming. Each field is documented by the help text
+// of its series in the series table.
 type WALMetrics struct {
-	// Appends counts records appended; AppendedBytes their framed sizes.
-	Appends, AppendedBytes Counter
-	// Fsyncs counts fsync calls; FsyncNanos is their latency distribution.
-	Fsyncs     Counter
-	FsyncNanos *Histogram
-	// GroupCommit is the distribution of records made durable per fsync —
-	// the group-commit batch size. Values above 1 mean concurrent callers
-	// shared one fsync.
-	GroupCommit *Histogram
-	// Rotations counts segment rollovers; SegmentsLive is the current
-	// on-disk segment count; SegmentsTrimmed counts segments removed by
-	// snapshot-watermark GC.
-	Rotations       Counter
-	SegmentsLive    Gauge
-	SegmentsTrimmed Counter
-	// ReplayedRecords and ReplayedSamples count what crash recovery read
-	// back; ReplayNanos is the wall time of the last replay.
+	Appends, AppendedBytes, Fsyncs Counter
+	// GroupCommit values above 1 mean concurrent callers shared one fsync.
+	FsyncNanos, GroupCommit          *Histogram
+	Rotations                        Counter
+	SegmentsLive                     Gauge
+	SegmentsTrimmed                  Counter
 	ReplayedRecords, ReplayedSamples Counter
-	// ReplayNanos is the duration of the most recent replay (0 = none ran).
-	ReplayNanos Gauge
-	// Degraded is 1 while the log is detached from a failing disk
-	// (FailDegrade policy) and ingest is in-memory only.
-	Degraded Gauge
-	// DroppedAppends counts records dropped while degraded (ingested in
-	// memory, never logged); WriteRetries counts segment-write retry
-	// attempts after transient errors; Reattaches counts recoveries from
-	// degraded mode back to a fresh on-disk segment.
+	ReplayNanos                      Gauge
+	// Degraded is 1 under the FailDegrade policy while the log is detached
+	// from a failing disk; DroppedAppends then counts the records that
+	// were ingested in memory and never logged.
+	Degraded                                 Gauge
 	DroppedAppends, WriteRetries, Reattaches Counter
 }
 
@@ -388,7 +366,10 @@ func NewMetrics() *Metrics {
 
 // ObserveQuery records one completed query of the given class.
 func (q *QueryMetrics) ObserveQuery(candidates, verified int, nanos int64) {
-	q.observe(candidates, verified, nanos)
+	q.Queries.Inc()
+	q.Candidates.Add(int64(candidates))
+	q.Verified.Add(int64(verified))
+	q.Latency.Observe(float64(nanos))
 }
 
 // Snapshot captures every instrument at one point in time. Counters are
@@ -396,162 +377,44 @@ func (q *QueryMetrics) ObserveQuery(candidates, verified int, nanos int64) {
 // concurrent ingestion is per-counter consistent, not globally atomic —
 // fine for monitoring, where each series is monotone on its own.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Ingest: IngestSnapshot{
-			Samples:     m.Ingest.Samples.Load(),
-			Batches:     m.Ingest.Batches.Load(),
-			BatchSize:   m.Ingest.BatchSize.Snapshot(),
-			AppendNanos: m.Ingest.AppendNanos.Snapshot(),
-		},
-		Tree: TreeSnapshot{
-			Inserts:     m.Tree.Inserts.Load(),
-			Deletes:     m.Tree.Deletes.Load(),
-			Searches:    m.Tree.Searches.Load(),
-			NodeReads:   m.Tree.NodeReads.Load(),
-			NodeWrites:  m.Tree.NodeWrites.Load(),
-			Splits:      m.Tree.Splits.Load(),
-			Reinserts:   m.Tree.Reinserts.Load(),
-			SearchNodes: m.Tree.SearchNodes.Snapshot(),
-		},
-		Parallel: ParallelSnapshot{
-			Workers:      m.Parallel.Workers.Load(),
-			Rounds:       m.Parallel.Rounds.Load(),
-			SerialRounds: m.Parallel.SerialRounds.Load(),
-			Tasks:        m.Parallel.Tasks.Load(),
-			QueueDepth:   m.Parallel.QueueDepth.Snapshot(),
-			StageNanos:   m.Parallel.StageNanos.Snapshot(),
-		},
-		WAL: WALSnapshot{
-			Appends:         m.WAL.Appends.Load(),
-			AppendedBytes:   m.WAL.AppendedBytes.Load(),
-			Fsyncs:          m.WAL.Fsyncs.Load(),
-			FsyncNanos:      m.WAL.FsyncNanos.Snapshot(),
-			GroupCommit:     m.WAL.GroupCommit.Snapshot(),
-			Rotations:       m.WAL.Rotations.Load(),
-			SegmentsLive:    m.WAL.SegmentsLive.Load(),
-			SegmentsTrimmed: m.WAL.SegmentsTrimmed.Load(),
-			ReplayedRecords: m.WAL.ReplayedRecords.Load(),
-			ReplayedSamples: m.WAL.ReplayedSamples.Load(),
-			ReplayNanos:     m.WAL.ReplayNanos.Load(),
-			Degraded:        m.WAL.Degraded.Load(),
-			DroppedAppends:  m.WAL.DroppedAppends.Load(),
-			WriteRetries:    m.WAL.WriteRetries.Load(),
-			Reattaches:      m.WAL.Reattaches.Load(),
-		},
-		Watch: WatchSnapshot{
-			ActiveAggregate:   m.Watch.ActiveAggregate.Load(),
-			ActivePattern:     m.Watch.ActivePattern.Load(),
-			ActiveCorrelation: m.Watch.ActiveCorrelation.Load(),
-			Installs:          m.Watch.Installs.Load(),
-			Uninstalls:        m.Watch.Uninstalls.Load(),
-			Fired:             m.Watch.Fired.Load(),
-			Cleared:           m.Watch.Cleared.Load(),
-			Evaluations:       m.Watch.Evaluations.Load(),
-			EvaluateNanos:     m.Watch.EvaluateNanos.Snapshot(),
-		},
-		Aggregate:   snapshotQuery(&m.Aggregate),
-		Pattern:     snapshotQuery(&m.Pattern),
-		Correlation: snapshotQuery(&m.Correlation),
-	}
+	var s Snapshot
+	metricsLoader.load(&s, m)
+	return s
 }
 
-func snapshotQuery(q *QueryMetrics) QuerySnapshot {
-	return QuerySnapshot{
-		Queries:    q.Queries.Load(),
-		Candidates: q.Candidates.Load(),
-		Verified:   q.Verified.Load(),
-		Latency:    q.Latency.Snapshot(),
-	}
-}
-
-// IngestSnapshot is the ingestion section of a Snapshot. The guard's
-// accept/repair/reject counters are filled in by the monitor wrapper that
-// owns the guard.
+// IngestSnapshot is the ingestion section of a Snapshot. Samples,
+// Batches, BatchSize and AppendNanos mirror IngestMetrics; the resilience
+// guard's accept/repair/reject and quarantine counters are filled in by
+// the monitor wrapper that owns the guard.
 type IngestSnapshot struct {
-	// Samples counts ingestion attempts seen by the instrumented path.
-	Samples int64
-	// Batches counts IngestBatch invocations; BatchSize is the size
-	// distribution of those batches.
-	Batches   int64
-	BatchSize HistogramSnapshot
-	// Accepted/Repaired/Rejected mirror the resilience guard's counters.
-	Accepted, Repaired, Rejected int64
-	// QuarantinedStreams and QuarantineTrips mirror the guard's quarantine
-	// state.
-	QuarantinedStreams, QuarantineTrips int64
-	// AppendNanos is the sampled per-append latency distribution.
-	AppendNanos HistogramSnapshot
+	Samples, Batches                                                  int64
+	BatchSize                                                         HistogramSnapshot
+	Accepted, Repaired, Rejected, QuarantinedStreams, QuarantineTrips int64
+	AppendNanos                                                       HistogramSnapshot
 }
 
-// ParallelSnapshot is the worker-pool section of a Snapshot.
+// ParallelSnapshot is the worker-pool section of a Snapshot. Its fields
+// mirror ParallelMetrics.
 type ParallelSnapshot struct {
-	// Workers is the configured pool width (1 = serial).
-	Workers int64
-	// Rounds/SerialRounds split query stages by execution path; Tasks
-	// counts work items across both.
-	Rounds, SerialRounds, Tasks int64
-	// QueueDepth is the items-per-round distribution; StageNanos the
-	// per-round wall time.
-	QueueDepth, StageNanos HistogramSnapshot
+	Workers, Rounds, SerialRounds, Tasks int64
+	QueueDepth, StageNanos               HistogramSnapshot
 }
 
-// WALSnapshot is the write-ahead-log section of a Snapshot. All fields are
-// zero when durability is disabled.
+// WALSnapshot is the write-ahead-log section of a Snapshot, all zero when
+// durability is disabled. Its fields mirror WALMetrics.
 type WALSnapshot struct {
-	// Appends counts records written; AppendedBytes their framed sizes.
-	Appends, AppendedBytes int64
-	// Fsyncs counts fsync calls; FsyncNanos their latency distribution;
-	// GroupCommit the records-per-fsync distribution.
-	Fsyncs                  int64
-	FsyncNanos, GroupCommit HistogramSnapshot
-	// Rotations/SegmentsLive/SegmentsTrimmed describe the segment
-	// lifecycle.
-	Rotations, SegmentsLive, SegmentsTrimmed int64
-	// ReplayedRecords/ReplayedSamples/ReplayNanos describe the last crash
-	// recovery replay.
-	ReplayedRecords, ReplayedSamples, ReplayNanos int64
-	// Degraded is 1 while the log is detached from a failing disk;
-	// DroppedAppends counts records dropped while degraded, WriteRetries
-	// the segment-write retries, Reattaches the recoveries back to disk.
+	Appends, AppendedBytes, Fsyncs                     int64
+	FsyncNanos, GroupCommit                            HistogramSnapshot
+	Rotations, SegmentsLive, SegmentsTrimmed           int64
+	ReplayedRecords, ReplayedSamples, ReplayNanos      int64
 	Degraded, DroppedAppends, WriteRetries, Reattaches int64
 }
 
-// merge sums two WAL snapshots (a cluster presents one surface).
-func (w WALSnapshot) merge(o WALSnapshot) WALSnapshot {
-	replay := w.ReplayNanos
-	if o.ReplayNanos > replay {
-		replay = o.ReplayNanos
-	}
-	degraded := w.Degraded
-	if o.Degraded > degraded {
-		degraded = o.Degraded
-	}
-	return WALSnapshot{
-		Appends:         w.Appends + o.Appends,
-		AppendedBytes:   w.AppendedBytes + o.AppendedBytes,
-		Fsyncs:          w.Fsyncs + o.Fsyncs,
-		FsyncNanos:      w.FsyncNanos.merge(o.FsyncNanos),
-		GroupCommit:     w.GroupCommit.merge(o.GroupCommit),
-		Rotations:       w.Rotations + o.Rotations,
-		SegmentsLive:    w.SegmentsLive + o.SegmentsLive,
-		SegmentsTrimmed: w.SegmentsTrimmed + o.SegmentsTrimmed,
-		ReplayedRecords: w.ReplayedRecords + o.ReplayedRecords,
-		ReplayedSamples: w.ReplayedSamples + o.ReplayedSamples,
-		ReplayNanos:     replay,
-		Degraded:        degraded,
-		DroppedAppends:  w.DroppedAppends + o.DroppedAppends,
-		WriteRetries:    w.WriteRetries + o.WriteRetries,
-		Reattaches:      w.Reattaches + o.Reattaches,
-	}
-}
-
 // TreeSnapshot is the R*-tree section of a Snapshot (summed over all
-// resolution levels).
+// resolution levels). Its fields mirror TreeMetrics.
 type TreeSnapshot struct {
-	Inserts, Deletes, Searches int64
-	NodeReads, NodeWrites      int64
-	Splits, Reinserts          int64
-	SearchNodes                HistogramSnapshot
+	Inserts, Deletes, Searches, NodeReads, NodeWrites, Splits, Reinserts int64
+	SearchNodes                                                          HistogramSnapshot
 }
 
 // QuerySnapshot is one query class's section of a Snapshot.
@@ -573,27 +436,10 @@ func (q QuerySnapshot) PruningPower() float64 {
 
 // FaultSnapshot is the fault-injection section of a Snapshot: all-zero in
 // production (no injector armed). The server fills it from the injector's
-// counters so chaos experiments can watch their own blast radius on
-// /metricsz.
+// counters (rules armed, injection-point evaluations, faults injected) so
+// chaos experiments can watch their own blast radius on /metricsz.
 type FaultSnapshot struct {
-	// RulesArmed is the number of fault rules currently loaded.
-	RulesArmed int64
-	// Evals counts injection-point evaluations; Injected counts the
-	// subset that fired a fault.
-	Evals, Injected int64
-}
-
-// merge sums counters and takes the maximum of the armed-rules gauge.
-func (f FaultSnapshot) merge(o FaultSnapshot) FaultSnapshot {
-	armed := f.RulesArmed
-	if o.RulesArmed > armed {
-		armed = o.RulesArmed
-	}
-	return FaultSnapshot{
-		RulesArmed: armed,
-		Evals:      f.Evals + o.Evals,
-		Injected:   f.Injected + o.Injected,
-	}
+	RulesArmed, Evals, Injected int64
 }
 
 // Snapshot is a point-in-time copy of a monitor's metrics: plain data, safe
@@ -612,64 +458,4 @@ type Snapshot struct {
 	Aggregate   QuerySnapshot
 	Pattern     QuerySnapshot
 	Correlation QuerySnapshot
-}
-
-// Merge returns the element-wise sum of two snapshots (histograms merge
-// bucket-wise). The cluster coordinator uses it to present its shards as
-// one metrics surface.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	workers := s.Parallel.Workers
-	if o.Parallel.Workers > workers {
-		workers = o.Parallel.Workers
-	}
-	return Snapshot{
-		Ingest: IngestSnapshot{
-			Samples:            s.Ingest.Samples + o.Ingest.Samples,
-			Batches:            s.Ingest.Batches + o.Ingest.Batches,
-			BatchSize:          s.Ingest.BatchSize.merge(o.Ingest.BatchSize),
-			Accepted:           s.Ingest.Accepted + o.Ingest.Accepted,
-			Repaired:           s.Ingest.Repaired + o.Ingest.Repaired,
-			Rejected:           s.Ingest.Rejected + o.Ingest.Rejected,
-			QuarantinedStreams: s.Ingest.QuarantinedStreams + o.Ingest.QuarantinedStreams,
-			QuarantineTrips:    s.Ingest.QuarantineTrips + o.Ingest.QuarantineTrips,
-			AppendNanos:        s.Ingest.AppendNanos.merge(o.Ingest.AppendNanos),
-		},
-		Parallel: ParallelSnapshot{
-			Workers:      workers,
-			Rounds:       s.Parallel.Rounds + o.Parallel.Rounds,
-			SerialRounds: s.Parallel.SerialRounds + o.Parallel.SerialRounds,
-			Tasks:        s.Parallel.Tasks + o.Parallel.Tasks,
-			QueueDepth:   s.Parallel.QueueDepth.merge(o.Parallel.QueueDepth),
-			StageNanos:   s.Parallel.StageNanos.merge(o.Parallel.StageNanos),
-		},
-		Tree: TreeSnapshot{
-			Inserts:     s.Tree.Inserts + o.Tree.Inserts,
-			Deletes:     s.Tree.Deletes + o.Tree.Deletes,
-			Searches:    s.Tree.Searches + o.Tree.Searches,
-			NodeReads:   s.Tree.NodeReads + o.Tree.NodeReads,
-			NodeWrites:  s.Tree.NodeWrites + o.Tree.NodeWrites,
-			Splits:      s.Tree.Splits + o.Tree.Splits,
-			Reinserts:   s.Tree.Reinserts + o.Tree.Reinserts,
-			SearchNodes: s.Tree.SearchNodes.merge(o.Tree.SearchNodes),
-		},
-		WAL:         s.WAL.merge(o.WAL),
-		Watch:       s.Watch.merge(o.Watch),
-		Repl:        s.Repl.merge(o.Repl),
-		Net:         s.Net.merge(o.Net),
-		Fault:       s.Fault.merge(o.Fault),
-		Cluster:     s.Cluster.merge(o.Cluster),
-		Tenant:      s.Tenant.merge(o.Tenant),
-		Aggregate:   s.Aggregate.mergeQuery(o.Aggregate),
-		Pattern:     s.Pattern.mergeQuery(o.Pattern),
-		Correlation: s.Correlation.mergeQuery(o.Correlation),
-	}
-}
-
-func (q QuerySnapshot) mergeQuery(o QuerySnapshot) QuerySnapshot {
-	return QuerySnapshot{
-		Queries:    q.Queries + o.Queries,
-		Candidates: q.Candidates + o.Candidates,
-		Verified:   q.Verified + o.Verified,
-		Latency:    q.Latency.merge(o.Latency),
-	}
 }

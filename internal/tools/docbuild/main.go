@@ -1,4 +1,4 @@
-// Command docbuild keeps the prose documentation honest. It does three
+// Command docbuild keeps the prose documentation honest. It does four
 // things, all wired into ci.sh as hard gates:
 //
 //  1. Every fenced ```go block in the markdown files named on the command
@@ -17,16 +17,20 @@
 //     added to any binary; and every flag-table row in those files (a
 //     row whose first cell is `-name`) must name a flag one of the
 //     binaries registers, so a removed flag cannot linger in the tables.
+//  4. With -metricdoc set, the named markdown file's metric catalogue (its
+//     rows whose first cell is a backquoted `stardust_…` name, any {label=}
+//     suffix ignored) must list every series internal/obs exposes, and
+//     every such row must name one of them.
 //
 // Usage:
 //
 //	go run ./internal/tools/docbuild \
 //	    -flagsrc cmd/stardust-server/main.go,cmd/stardust-router/main.go \
-//	    -flagdoc README.md,RUNBOOK.md \
+//	    -flagdoc README.md,RUNBOOK.md -metricdoc RUNBOOK.md \
 //	    README.md RUNBOOK.md DESIGN.md
 //
 // It must run from the module root (ci.sh does). Exit status 1 on any
-// failed build or undocumented flag.
+// failed build, undocumented flag or catalogue drift.
 package main
 
 import (
@@ -42,6 +46,7 @@ import (
 	"strconv"
 	"strings"
 
+	"stardust/internal/obs"
 	"stardust/internal/spec"
 )
 
@@ -54,6 +59,7 @@ const scratchDir = "tmp-docbuild"
 func main() {
 	flagSrc := flag.String("flagsrc", "", "comma-separated Go source files whose flag registrations must be documented")
 	flagDoc := flag.String("flagdoc", "", "comma-separated markdown files that together document every flag from -flagsrc")
+	metricDoc := flag.String("metricdoc", "", "markdown file whose metric catalogue must list exactly the series /metricsz exposes")
 	flag.Parse()
 
 	failed := false
@@ -84,6 +90,12 @@ func main() {
 			}
 		}
 		if err := checkFlagRows(strings.Split(*flagDoc, ","), registered); err != nil {
+			fmt.Fprintf(os.Stderr, "docbuild: %v\n", err)
+			failed = true
+		}
+	}
+	if *metricDoc != "" {
+		if err := checkMetricCatalogue(*metricDoc, obs.SeriesNames()); err != nil {
 			fmt.Fprintf(os.Stderr, "docbuild: %v\n", err)
 			failed = true
 		}
@@ -241,6 +253,45 @@ func checkFlagRows(docPaths []string, registered map[string]bool) error {
 	}
 	if len(stale) > 0 {
 		return fmt.Errorf("flag tables document flags no binary registers:\n%s", strings.Join(stale, "\n"))
+	}
+	return nil
+}
+
+// metricRow matches a metric-catalogue row: its first cell starts with a
+// backquoted series name (a {label=} suffix inside the quotes is not part
+// of the name).
+var metricRow = regexp.MustCompile("^\\| `(stardust_[0-9a-z_]+)")
+
+// checkMetricCatalogue requires the catalogue rows of docPath to name
+// every series in series, and every row to name one of them.
+func checkMetricCatalogue(docPath string, series []string) error {
+	b, err := os.ReadFile(docPath)
+	if err != nil {
+		return err
+	}
+	exposed := make(map[string]bool, len(series))
+	for _, name := range series {
+		exposed[name] = true
+	}
+	rowed := make(map[string]bool)
+	var problems []string
+	for i, line := range strings.Split(string(b), "\n") {
+		m := metricRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		rowed[m[1]] = true
+		if !exposed[m[1]] {
+			problems = append(problems, fmt.Sprintf("%s:%d: %s is catalogued but no series has that name", docPath, i+1, m[1]))
+		}
+	}
+	for _, name := range series {
+		if !rowed[name] {
+			problems = append(problems, fmt.Sprintf("%s: series %s has no catalogue row", docPath, name))
+		}
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("metric catalogue drift:\n%s", strings.Join(problems, "\n"))
 	}
 	return nil
 }
