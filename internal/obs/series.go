@@ -18,7 +18,7 @@ const (
 	gauge               // instantaneous int64
 	seconds             // histogram observed in nanoseconds, exposed in seconds
 	raw                 // histogram already in its exposition unit (counts)
-	ratio               // a query class's pruning power, derived from its counters
+	ratio               // a query class's pruning power, derived from its counters (not merged)
 )
 
 var promTypes = [...]string{counter: "counter", gauge: "gauge", seconds: "histogram", raw: "histogram", ratio: "gauge"}
@@ -194,6 +194,8 @@ var (
 	clusterLoader, shardLoader, tenantLoader loader
 )
 
+// init resolves every table path against Snapshot, then builds the
+// loaders from the resolved paths.
 func init() {
 	st := reflect.TypeFor[Snapshot]()
 	for i := range table {
